@@ -15,6 +15,7 @@ values that enumerate exactly 1..count for the respective range.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -262,17 +263,18 @@ def total_derivative(
     if not 1 <= s <= codec.m:
         raise IndexRangeError(f"direction {s} outside 1..{codec.m}")
     limits = tuple(order + 1 for order in codec.orders)  # extended j bound
-    result = Polynomial.zero(poly.variable_table)
+    images: dict[str, str | int] = {}
     if len(base_vars) > s - 1:
-        result = result + poly.partial_derivative(base_vars[s - 1])
+        images[base_vars[s - 1]] = 1
     for var in poly.variables():
-        jet = parse_jet_name(var, codec.m)
-        if jet is None:
+        parsed = _parse_and_shift(var, codec.m, s)
+        if parsed is None:
             if var not in base_vars:
                 raise IndexRangeError(
                     f"variable {var!r} is neither a jet token nor a declared base variable"
                 )
             continue
+        jet, shifted = parsed
         for position, (component, limit) in enumerate(zip(jet.j, limits), start=1):
             if component > limit:
                 raise IndexRangeError(
@@ -282,9 +284,16 @@ def total_derivative(
             raise IndexRangeError(
                 f"derivative of jet {var} along direction {s} leaves the extended range"
             )
-        shifted = Polynomial.variable(jet.shifted(s).name)
-        result = result + poly.partial_derivative(var) * shifted
-    return result
+        images[var] = shifted
+    return poly.derivation(images)
+
+
+@functools.lru_cache(maxsize=4096)
+def _parse_and_shift(name: str, m: int, s: int) -> tuple[JetVar, str] | None:
+    """The jet a variable name denotes and the name of its shift along s;
+    prolongation meets the same few names in every equation it derives."""
+    jet = parse_jet_name(name, m)
+    return None if jet is None else (jet, jet.shifted(s).name)
 
 
 # -- prolongation --------------------------------------------------------------
@@ -322,14 +331,6 @@ class ProlongedSystem:
 
     def equation_items(self) -> list[tuple[int, Polynomial]]:
         return sorted(self.equations.items())
-
-    def occurring_jets(self) -> set[str]:
-        names = set()
-        for poly in self.equations.values():
-            for var in poly.variables():
-                if parse_jet_name(var, self.codec.m) is not None:
-                    names.add(var)
-        return names
 
 
 def _normalize_jets(poly: Polynomial, m: int) -> Polynomial:

@@ -279,6 +279,68 @@ class Polynomial:
             acc[new_mono] = acc.get(new_mono, Fraction(0)) + coeff * exp
         return Polynomial(acc, self._vars)
 
+    def derivation(self, images: Mapping[str, str | int]) -> "Polynomial":
+        """Sum of ``dP/dx * image(x)`` over the variables x in ``images``.
+
+        An image is a variable name, or 1 for the plain partial.  Each term
+        ``c*m`` contributes ``c*e*(m/x)*image`` for each mapped variable x of
+        exponent e, all in one walk over the terms.
+        """
+        acc: dict[Monomial, Fraction] = {}
+        mapped: set[str] = set()
+        for mono, coeff in self._terms.items():
+            for var, exp in mono.exps:
+                image = images.get(var)
+                if image is None:
+                    continue
+                mapped.add(var)
+                lowered = dict(mono.exps)
+                if exp == 1:
+                    del lowered[var]
+                else:
+                    lowered[var] = exp - 1
+                if image != 1:
+                    lowered[image] = lowered.get(image, 0) + 1
+                new_mono = Monomial(tuple(sorted(lowered.items())))
+                term = coeff * exp if exp > 1 else coeff
+                acc[new_mono] = acc[new_mono] + term if new_mono in acc else term
+        # new image names join the table in the order of their sources
+        added = tuple(
+            dict.fromkeys(
+                images[v] for v in self._vars
+                if v in mapped and images[v] != 1 and images[v] not in self._vars
+            )
+        )
+        return Polynomial(acc, self._vars + added)
+
+    def gradient_at(self, point: Mapping[str, ScalarLike]) -> dict[str, Fraction]:
+        """The nonzero first partials at a point, ``{variable: value}``.
+
+        One walk over the terms; every occurring variable must be assigned.
+        A term with two or more zero factors (``x^2`` at ``x = 0`` counts
+        twice) has every first partial zero there and adds nothing.
+        """
+        grad: dict[str, Fraction] = {}
+        for mono, coeff in self._terms.items():
+            value = coeff
+            zeros = 0
+            zero_var = ""
+            for var, exp in mono.exps:
+                if var not in point:
+                    raise MissingAssignmentError(var)
+                x = point[var]
+                if x:
+                    value *= Fraction(x) ** exp
+                else:
+                    zeros += exp
+                    zero_var = var
+            if zeros == 0:
+                for var, exp in mono.exps:
+                    grad[var] = grad.get(var, 0) + value * exp / Fraction(point[var])
+            elif zeros == 1:
+                grad[zero_var] = grad.get(zero_var, 0) + value
+        return {var: value for var, value in grad.items() if value}
+
     def degree_in(self, var: str) -> int | float:
         """Max exponent of ``var``; the zero polynomial reports NEG_INFINITY."""
         if not self._terms:
@@ -518,6 +580,3 @@ def parse_polynomial(text: str, variables: Iterable[str] = ()) -> Polynomial:
         raise PolynomialParseError("empty polynomial expression")
     return _Parser(tokens, tuple(variables)).parse()
 
-
-def format_scalar(value: Fraction) -> str:
-    return str(value)

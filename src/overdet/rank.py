@@ -3,21 +3,24 @@
 A candidate jet point solves the prolonged system when it zeroes every
 equation; it is certified isolated (with respect to the occurring unknowns)
 when the Jacobian of the system at the point has rank equal to the number of
-jet unknowns that actually occur.  All linear algebra is exact over the
-rationals via fraction-free elimination.
+jet unknowns that actually occur.  The Jacobian is read off one walk over
+each equation's terms, and its rank comes from a sparse fraction-free
+elimination over Python integers, so all linear algebra is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping
 
-from .errors import MissingAssignmentError, NotASolutionError
+from .errors import NotASolutionError
 from .jets import ProlongedSystem
 
 ScalarPoint = Mapping[str, Fraction]
+
+_ZERO = Fraction(0)
 
 
 @dataclass
@@ -41,57 +44,79 @@ class RankReport:
 
 def jacobian(prolonged: ProlongedSystem, point: ScalarPoint) -> JacobianMatrix:
     """Evaluate every first partial with respect to the jet unknowns exactly."""
-    for equation in prolonged.equations.values():
-        for var in equation.variables():
-            if var not in point:
-                raise MissingAssignmentError(var)
     unknowns = prolonged.unknowns()
     columns = sorted(unknowns)
+    position = {unknowns[col].name: place for place, col in enumerate(columns)}
     rows = sorted(prolonged.equations)
     entries = []
     for row in rows:
-        equation = prolonged.equations[row]
-        entries.append(
-            [
-                equation.partial_derivative(unknowns[col].name).evaluate(point)
-                for col in columns
-            ]
-        )
+        line = [_ZERO] * len(columns)
+        for var, value in prolonged.equations[row].gradient_at(point).items():
+            place = position.get(var)
+            if place is not None:
+                line[place] = value
+        entries.append(line)
     return JacobianMatrix(
         entries=entries, equation_indices=tuple(rows), unknown_indices=tuple(columns)
     )
 
 
 def exact_rank(matrix: JacobianMatrix | list[list[Fraction]]) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
+    """Rank over the rationals by sparse fraction-free elimination.
+
+    Rows become primitive integer vectors stored as ``{column: value}``.
+    Each step takes the shortest remaining row and its entry of smallest
+    magnitude as pivot, clears that column from the other rows by integer
+    cross-multiplication, and divides every updated row by the gcd of its
+    entries; only Python ints are involved and zeros are never stored.
+    """
     rows = matrix.entries if isinstance(matrix, JacobianMatrix) else matrix
-    if not rows or not rows[0]:
-        return 0
-    # clear denominators row by row; scaling by a nonzero rational keeps rank
-    work: list[list[int]] = []
-    for row in rows:
-        scale = lcm(*(value.denominator for value in row)) if row else 1
-        work.append([int(value * scale) for value in row])
-    n_rows, n_cols = len(work), len(work[0])
+    work = [row for row in map(_primitive_row, rows) if row]
     rank = 0
-    previous_pivot = 1
-    for col in range(n_cols):
-        pivot_row = next(
-            (r for r in range(rank, n_rows) if work[r][col] != 0), None
-        )
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pivot = work[rank][col]
-        for r in range(rank + 1, n_rows):
-            for c in range(col + 1, n_cols):
-                work[r][c] = (pivot * work[r][c] - work[r][col] * work[rank][c]) // previous_pivot
-            work[r][col] = 0
-        previous_pivot = pivot
+    while work:
+        shortest = min(range(len(work)), key=lambda index: len(work[index]))
+        pivot_row = work[shortest]
+        work[shortest] = work[-1]
+        work.pop()
+        pivot_col, pivot = min(pivot_row.items(), key=lambda item: abs(item[1]))
         rank += 1
-        if rank == n_rows:
-            break
+        remaining = []
+        for row in work:
+            factor = row.get(pivot_col)
+            if factor is None:
+                remaining.append(row)
+                continue
+            shared = gcd(pivot, factor)
+            keep, take = pivot // shared, factor // shared
+            updated = {col: keep * value for col, value in row.items() if col != pivot_col}
+            for col, value in pivot_row.items():
+                if col == pivot_col:
+                    continue
+                combined = updated.get(col, 0) - take * value
+                if combined:
+                    updated[col] = combined
+                else:
+                    updated.pop(col, None)
+            if updated:
+                remaining.append(_divide_content(updated))
+        work = remaining
     return rank
+
+
+def _primitive_row(row: list[Fraction]) -> dict[int, int]:
+    """The nonzero entries of a rational row, scaled to coprime integers."""
+    nonzero = {col: value for col, value in enumerate(row) if value}
+    scale = lcm(*(value.denominator for value in nonzero.values()))
+    return _divide_content(
+        {col: value.numerator * (scale // value.denominator) for col, value in nonzero.items()}
+    )
+
+
+def _divide_content(row: dict[int, int]) -> dict[int, int]:
+    content = gcd(*row.values())
+    if content == 1:
+        return row
+    return {col: value // content for col, value in row.items()}
 
 
 def count_active_unknowns(prolonged: ProlongedSystem) -> int:
@@ -100,10 +125,11 @@ def count_active_unknowns(prolonged: ProlongedSystem) -> int:
     Over the rationals a variable occurs in a polynomial exactly when some
     partial with respect to it is nonzero, so an occurrence scan suffices.
     """
-    occurring = prolonged.occurring_jets()
-    return sum(
-        1 for _, jet in prolonged.unknowns().items() if jet.name in occurring
-    )
+    names = {jet.name for jet in prolonged.unknowns().values()}
+    occurring = set()
+    for equation in prolonged.equations.values():
+        occurring.update(equation.variables())
+    return len(names & occurring)
 
 
 def active_unknown_bound(prolonged: ProlongedSystem) -> Fraction:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -285,13 +286,9 @@ def _rational_roots(poly: Polynomial, var: str) -> list[Fraction] | None:
     coeffs = [c.constant_value() for c in poly.coefficients_in(var)]
     if not coeffs:
         return []
-    denominator_lcm = 1
-    for c in coeffs:
-        denominator_lcm = denominator_lcm * c.denominator // _gcd(denominator_lcm, c.denominator)
+    denominator_lcm = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denominator_lcm) for c in coeffs]
-    shared = 0
-    for value in ints:
-        shared = _gcd(shared, value)
+    shared = gcd(*ints)
     if shared > 1:
         ints = [value // shared for value in ints]
     low = 0
@@ -318,13 +315,6 @@ def _rational_roots(poly: Polynomial, var: str) -> list[Fraction] | None:
     return sorted(roots)
 
 
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _primitive_part(poly: Polynomial) -> Polynomial:
     """Divide out the positive rational content; the zero set is unchanged.
 
@@ -335,14 +325,10 @@ def _primitive_part(poly: Polynomial) -> Polynomial:
     if poly.is_zero():
         return poly
     coefficients = [coeff for _, coeff in poly.ordered_terms()]
-    numerator_gcd = 0
-    denominator_lcm = 1
-    for coeff in coefficients:
-        numerator_gcd = _gcd(numerator_gcd, coeff.numerator)
-        denominator_lcm = denominator_lcm * coeff.denominator // _gcd(
-            denominator_lcm, coeff.denominator
-        )
-    content = Fraction(numerator_gcd, denominator_lcm)
+    content = Fraction(
+        gcd(*(coeff.numerator for coeff in coefficients)),
+        lcm(*(coeff.denominator for coeff in coefficients)),
+    )
     if content == 1:
         return poly
     return poly * (Fraction(1) / content)

@@ -121,6 +121,48 @@ def test_total_derivative_range_guard():
         total_derivative(P("S1[2]"), 1, codec, ("x",))
 
 
+
+def _leibniz_total_derivative(poly, s, codec, base_vars):
+    """Reference: one partial per occurring jet, times its shift along s,
+    plus the partial by the s-th base variable."""
+    result = Polynomial.zero(poly.variable_table)
+    if len(base_vars) > s - 1:
+        result = result + poly.partial_derivative(base_vars[s - 1])
+    for var in poly.variables():
+        jet = parse_jet_name(var, codec.m)
+        if jet is not None:
+            shifted = Polynomial.variable(jet.shifted(s).name)
+            result = result + poly.partial_derivative(var) * shifted
+    return result
+
+
+def test_total_derivative_matches_leibniz_formula():
+    rng = random.Random(61)
+    codec = IndexCodec(p=2, n=1, orders=(2, 2))
+    base = ("x", "y")
+    # S1[1,0] and S1[0,0] together: deriving S1[0,0] along x yields a jet
+    # already present in the monomial
+    names = list(base) + [jet_name(v, j) for v in (1, 2) for j in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    for _ in range(200):
+        poly = Polynomial.from_terms(
+            [
+                (
+                    {v: rng.randint(1, 3) for v in rng.sample(names, rng.randint(0, 3))},
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                )
+                for _ in range(rng.randint(1, 5))
+            ],
+            names[::-1],
+        )
+        for s in (1, 2):
+            fast = total_derivative(poly, s, codec, base)
+            reference = _leibniz_total_derivative(poly, s, codec, base)
+            assert fast == reference
+            assert fast.variable_table == reference.variable_table
+    assert total_derivative(P("S1[0,0]^2*S1[1,0]*x^3"), 1, codec, base) == P(
+        "2*S1[0,0]*S1[1,0]^2*x^3 + S1[0,0]^2*S1[2,0]*x^3 + 3*S1[0,0]^2*S1[1,0]*x^2"
+    )
+
 # -- prolongation -----------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Core polynomial arithmetic: canonical form, calculus, parsing."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -204,3 +205,71 @@ def test_str_parse_roundtrip(f):
 def test_rename_variables_merges_collisions():
     f = P("a*b + a")
     assert f.rename_variables({"a": "b"}) == P("b^2 + b")
+
+
+# -- one-walk gradient and derivation ------------------------------------------
+
+
+def _random_poly(rng, names, terms=6, max_exp=3):
+    return Polynomial.from_terms(
+        [
+            (
+                {v: rng.randint(0, max_exp) for v in rng.sample(names, rng.randint(0, len(names)))},
+                Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+            )
+            for _ in range(terms)
+        ]
+    )
+
+
+def _slow_gradient(f, point):
+    """Reference: one partial per variable, each evaluated at the point."""
+    values = {v: f.partial_derivative(v).evaluate(point) for v in f.variables()}
+    return {v: value for v, value in values.items() if value != 0}
+
+
+def test_gradient_at_matches_partials_on_random_polynomials():
+    rng = random.Random(53)
+    names = ["x", "y", "z", "w"]
+    # zero-heavy points exercise the one- and two-zero-factor shortcuts,
+    # including x^2 at x = 0, next to rational and negative values
+    values = [Fraction(0)] * 4 + [Fraction(1), Fraction(-2), Fraction(3, 5), Fraction(-7, 2)]
+    for _ in range(300):
+        f = _random_poly(rng, names)
+        point = {v: rng.choice(values) for v in names}
+        assert f.gradient_at(point) == _slow_gradient(f, point)
+
+
+def test_gradient_at_goldens():
+    f = P("x^2*y + 3*x*z - y^3 + 5")
+    # y = 0: only terms with at most one zero factor contribute
+    assert f.gradient_at({"x": 2, "y": 0, "z": Fraction(1, 3)}) == {
+        "x": Fraction(1), "y": Fraction(4), "z": Fraction(6),
+    }
+    # x^2 at x = 0 counts as two zero factors; z*x keeps its x partial
+    assert f.gradient_at({"x": 0, "y": 1, "z": 2}) == {"x": Fraction(6), "y": Fraction(-3)}
+    assert Polynomial.zero().gradient_at({}) == {}
+    assert P("x - x").gradient_at({"x": 1}) == {}
+    assert P("x*y - x*y^2").gradient_at({"x": 1, "y": 1}) == {"y": Fraction(-1)}
+
+
+def test_gradient_at_missing_assignment():
+    # the unassigned variable sits in a term that vanishes at the point
+    with pytest.raises(MissingAssignmentError):
+        P("x^2*y + x").gradient_at({"x": 0})
+
+
+def test_derivation_is_sum_of_partials_times_images():
+    rng = random.Random(59)
+    names = ["a", "b", "c", "t"]
+    for _ in range(200):
+        f = _random_poly(rng, names)
+        images = {"a": "b", "b": "c", "t": 1}
+        expected = (
+            f.partial_derivative("a") * P("b")
+            + f.partial_derivative("b") * P("c")
+            + f.partial_derivative("t")
+        )
+        assert f.derivation(images) == expected
+    assert P("a^2").derivation({"a": "a"}) == P("2*a^2")
+    assert P("c").derivation({"a": "b"}) == Polynomial.zero()

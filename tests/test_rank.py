@@ -101,6 +101,85 @@ def test_exact_rank_agrees_with_naive_oracle():
         assert exact_rank(rows) == _naive_rank(rows)
 
 
+
+def _sparse_matrix(rng, n_rows, n_cols, density):
+    return [
+        [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < density else Fraction(0)
+            for _ in range(n_cols)
+        ]
+        for _ in range(n_rows)
+    ]
+
+
+def test_sparse_exact_rank_agrees_with_naive_oracle_on_shapes():
+    rng = random.Random(67)
+    for _ in range(300):
+        n_rows, n_cols = rng.choice(
+            [(rng.randint(1, 12), rng.randint(1, 12)),  # random
+             (rng.randint(10, 30), rng.randint(1, 6)),  # tall
+             (rng.randint(1, 6), rng.randint(10, 30))]  # wide
+        )
+        rows = _sparse_matrix(rng, n_rows, n_cols, rng.choice([0.05, 0.2, 0.5, 1.0]))
+        if n_rows > 2 and rng.random() < 0.5:
+            # duplicate a row and add a combination of two others
+            rows[-1] = list(rows[0])
+            scale = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            rows[-2] = [a + scale * b for a, b in zip(rows[0], rows[1])]
+        assert exact_rank(rows) == _naive_rank(rows)
+
+
+def test_sparse_exact_rank_edge_shapes():
+    assert exact_rank([[Fraction(0)] * 5 for _ in range(4)]) == 0
+    assert exact_rank([[], []]) == 0
+    assert exact_rank([[Fraction(1, 3)]]) == 1
+    # rational entries whose integer scalings coincide
+    assert exact_rank(_f([[Fraction(1, 2), Fraction(1, 3)], [3, 2]])) == 1
+    # a low-rank product with large entries
+    rng = random.Random(71)
+    left = [[Fraction(rng.randint(-10**6, 10**6)) for _ in range(3)] for _ in range(20)]
+    right = [[Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3)) for _ in range(15)]
+             for _ in range(3)]
+    product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+    assert exact_rank(product) == _naive_rank(product) == 3
+
+
+def _euler_system() -> PdeSystem:
+    """Three base variables; S = x + y + z solves all three equations."""
+    return PdeSystem(
+        p=1,
+        n=2,
+        base_vars=("x", "y", "z"),
+        equations=(
+            P("S1[1,0,0]^2 - S1[0,1,0]"),
+            P("S1[0,1,0]*S1[0,0,1] - S1[1,0,0]"),
+            P("S1[0,0,0] - x*S1[1,0,0] - y*S1[0,1,0] - z*S1[0,0,1]"),
+        ),
+    )
+
+
+def test_jacobian_and_rank_of_prolonged_3d_system():
+    prolonged = prolong(_euler_system(), (3, 3, 3))
+    base = {"x": Fraction(1, 2), "y": Fraction(2), "z": Fraction(-1)}
+    point = {jet.name: Fraction(0) for jet in prolonged.unknowns().values()} | base
+    point["S1[0,0,0]"] = sum(base.values())
+    for name in ("S1[1,0,0]", "S1[0,1,0]", "S1[0,0,1]"):
+        point[name] = Fraction(1)
+    matrix = jacobian(prolonged, point)
+    unknowns = prolonged.unknowns()
+    expected = [
+        [
+            prolonged.equations[row].partial_derivative(unknowns[col].name).evaluate(point)
+            for col in matrix.unknown_indices
+        ]
+        for row in matrix.equation_indices
+    ]
+    assert matrix.entries == expected
+    rank = exact_rank(matrix)
+    assert rank == _naive_rank(matrix.entries)
+    assert certify(prolonged, point).rank == rank
+
+
 def test_count_active_unknowns_and_bound():
     system = _pair("S1[1] - S1[0]", "S1[0]*S1[1] - S1[0]^2")
     prolonged = prolong(system, (1,))
