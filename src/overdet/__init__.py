@@ -20,7 +20,7 @@ from .jets import (
     total_derivative,
 )
 from .oracle import gcd_univariate, rational_root_search, sylvester_resultant
-from .poly import NEG_INFINITY, Monomial, Polynomial, Scalar, determinant, parse_polynomial
+from .poly import Monomial, Polynomial, Scalar, determinant, parse_polynomial
 from .rank import JacobianMatrix, RankReport, certify, count_active_unknowns, exact_rank, jacobian
 from .reduction import (
     ReductionOutcome,
@@ -39,7 +39,6 @@ __all__ = [
     "JacobianMatrix",
     "JetVar",
     "Monomial",
-    "NEG_INFINITY",
     "OrderSearchResult",
     "OverdetError",
     "PdeSystem",

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import formats
 from .errors import NotASolutionError, OverdetError
-from .jets import minimal_orders, prolong
+from .jets import IndexCodec, minimal_orders, prolong
 from .oracle import gcd_univariate, rational_root_search, sylvester_resultant
 from .rank import active_unknown_bound, certify
 from .reduction import eliminate_variable, reduce_chain, solve_overdetermined
@@ -72,10 +71,14 @@ def _outcome_lines(outcome, variables, trace: bool) -> list[str]:
         lines.append(f"solution: {assignment}")
     for poly in outcome.residual_system:
         lines.append(f"residual: {poly}")
-    for condition in outcome.conditions:
-        lines.append(f"condition: {condition.polynomial} != 0")
+    return lines + _conditions_and_steps(outcome.conditions, outcome.trace, trace)
+
+
+def _conditions_and_steps(conditions, steps, trace: bool) -> list[str]:
+    """Text lines of side conditions, then of steps when tracing."""
+    lines = [f"condition: {condition.polynomial} != 0" for condition in conditions]
     if trace:
-        for step in outcome.trace:
+        for step in steps:
             inputs = "; ".join(str(p) for p in step.inputs)
             outputs = "; ".join(str(p) for p in step.outputs)
             lines.append(f"step[{step.kind}]: {inputs} -> {outputs}")
@@ -110,8 +113,7 @@ def cmd_counts(args, out: _Output) -> int:
         if len(orders) != args.m:
             raise OverdetError(f"expected {args.m} orders, got {len(orders)}")
         data = formats.counts_to_dict(args.p, args.n, orders)
-        reciprocal = sum(Fraction(1, order) for order in orders)
-        bound = Fraction(data["N_H"] * args.p, args.p + args.n) * (1 + reciprocal)
+        bound = active_unknown_bound(IndexCodec(args.p, args.n, orders))
         data["active_unknown_bound"] = formats.scalar_to_json(bound)
         data["n_h_ge_n_s"] = data["N_H"] >= data["N_S"]
         lines = [
@@ -186,13 +188,7 @@ def cmd_eliminate(args, out: _Output) -> int:
     }
     lines = [f"eliminated: {var}"]
     lines += [f"reduced: {poly}" for poly in reduced]
-    lines += [f"condition: {c.polynomial} != 0" for c in conditions]
-    if out.trace:
-        lines += [
-            f"step[{s.kind}]: {'; '.join(str(p) for p in s.inputs)} -> "
-            f"{'; '.join(str(p) for p in s.outputs)}"
-            for s in steps
-        ]
+    lines += _conditions_and_steps(conditions, steps, out.trace)
     out.emit(data, lines)
     return EXIT_OK
 
@@ -244,7 +240,7 @@ def cmd_rank(args, out: _Output) -> int:
         f"n_s_real = {report.n_s_real}",
         f"n_h = {report.n_h}, n_s = {report.n_s}",
         f"bound holds: {report.bound_11_holds} "
-        f"(active unknown bound = {active_unknown_bound(prolonged)})",
+        f"(active unknown bound = {active_unknown_bound(prolonged.codec)})",
         f"certified: {report.certified}",
     ]
     if report.n_h < report.n_s:

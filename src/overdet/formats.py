@@ -16,8 +16,9 @@ PDE file (``.pde``)::
     eq S1[1] - S1
 
 Jet tokens are ``S<v>[j1,...,jm]``; a bare ``S<v>`` abbreviates the zero
-multi-index.  Blank lines and ``#`` comments are ignored.  Every number in
-files and JSON is an exact rational: an integer, or a string ``"p/q"``.
+multi-index, and ``PdeSystem`` renames it to the full name.  Blank lines and
+``#`` comments are ignored.  Every number in files and JSON is an exact
+rational: an integer, or a string ``"p/q"``.
 """
 
 from __future__ import annotations
@@ -27,14 +28,7 @@ from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
 from .errors import PolynomialParseError
-from .jets import (
-    IndexCodec,
-    PdeSystem,
-    ProlongedSystem,
-    extended_counts,
-    parse_jet_name,
-    plain_counts,
-)
+from .jets import IndexCodec, PdeSystem, ProlongedSystem
 from .poly import Polynomial, parse_polynomial
 from .rank import RankReport
 from .reduction import ReductionOutcome, ReductionStep, SideCondition
@@ -103,7 +97,8 @@ def parse_poly_file(text: str) -> tuple[tuple[str, ...], list[Polynomial]]:
 
 
 def parse_pde_file(text: str) -> PdeSystem:
-    """Parse a ``.pde`` system; abbreviated jet tokens are normalized."""
+    """Parse a ``.pde`` system; ``PdeSystem`` validates the equations and
+    renames abbreviated jet tokens."""
     p = n = None
     base_vars: tuple[str, ...] | None = None
     equations: list[Polynomial] = []
@@ -121,15 +116,9 @@ def parse_pde_file(text: str) -> PdeSystem:
             if base_vars is None:
                 raise PolynomialParseError("eq before vars line", line=number)
             try:
-                poly = parse_polynomial(rest)
+                equations.append(parse_polynomial(rest))
             except PolynomialParseError as exc:
                 raise PolynomialParseError(str(exc), line=number) from exc
-            renames = {}
-            for var in poly.variables():
-                jet = parse_jet_name(var, len(base_vars))
-                if jet is not None and "[" not in var:
-                    renames[var] = jet.name
-            equations.append(poly.rename_variables(renames) if renames else poly)
         else:
             raise PolynomialParseError(f"unknown directive {keyword!r}", line=number)
     if p is None or n is None or base_vars is None:
@@ -164,7 +153,7 @@ def point_to_dict(point: Mapping[str, Fraction], order: Sequence[str] | None = N
 
 
 def condition_to_dict(condition: SideCondition) -> dict:
-    return {"polynomial": str(condition.polynomial), "relation": condition.relation}
+    return {"polynomial": str(condition.polynomial)}
 
 
 def step_to_dict(step: ReductionStep) -> dict:
@@ -191,9 +180,14 @@ def outcome_to_dict(
 
 
 def counts_to_dict(p: int, n: int, orders: Sequence[int]) -> dict:
-    n_h, n_s = plain_counts(p, n, orders)
-    n_h_w, n_s_w = extended_counts(p, n, orders)
-    return {"N_H": n_h, "N_S": n_s, "N_H_w": n_h_w, "N_S_w": n_s_w}
+    plain = IndexCodec(p, n, tuple(orders))
+    wide = IndexCodec(p, n, tuple(orders), extended=True)
+    return {
+        "N_H": plain.equation_count,
+        "N_S": plain.unknown_count,
+        "N_H_w": wide.equation_count,
+        "N_S_w": wide.unknown_count,
+    }
 
 
 def prolonged_to_dict(prolonged: ProlongedSystem) -> dict:

@@ -75,7 +75,9 @@ class PdeSystem:
     """First-order system of p+n equations for p unknown functions of m variables.
 
     Equations are polynomials in canonical jet names of order <= 1 and the
-    declared base variable names.
+    declared base variable names.  A bare ``S<v>`` token in the given
+    equations is renamed to its canonical zero multi-index name on
+    construction, so ``equations`` only ever holds canonical names.
     """
 
     p: int
@@ -93,7 +95,9 @@ class PdeSystem:
         for name in self.base_vars:
             if _JET_NAME_RE.match(name):
                 raise SystemShapeError(f"base variable name {name!r} collides with jet tokens")
+        canonical = []
         for index, equation in enumerate(self.equations, start=1):
+            renames = {}
             for var in equation.variables():
                 jet = parse_jet_name(var, len(self.base_vars))
                 if jet is None:
@@ -114,6 +118,10 @@ class PdeSystem:
                     raise SystemShapeError(
                         f"equation {index}: jet {var} has order {jet.order} > 1"
                     )
+                if "[" not in var:
+                    renames[var] = jet.name
+            canonical.append(equation.rename_variables(renames) if renames else equation)
+        object.__setattr__(self, "equations", tuple(canonical))
 
     @property
     def m(self) -> int:
@@ -238,16 +246,6 @@ class IndexCodec:
             yield index, v, j
 
 
-def plain_counts(p: int, n: int, orders: Sequence[int]) -> tuple[int, int]:
-    codec = IndexCodec(p, n, tuple(orders), extended=False)
-    return codec.equation_count, codec.unknown_count
-
-
-def extended_counts(p: int, n: int, orders: Sequence[int]) -> tuple[int, int]:
-    codec = IndexCodec(p, n, tuple(orders), extended=True)
-    return codec.equation_count, codec.unknown_count
-
-
 # -- total derivative ----------------------------------------------------------
 
 
@@ -333,16 +331,6 @@ class ProlongedSystem:
         return sorted(self.equations.items())
 
 
-def _normalize_jets(poly: Polynomial, m: int) -> Polynomial:
-    """Rewrite abbreviated jet tokens (bare S<v>) to full multi-index names."""
-    renames = {}
-    for var in poly.variables():
-        match = _JET_NAME_RE.match(var)
-        if match and match.group(2) is None:
-            renames[var] = jet_name(int(match.group(1)), (0,) * m)
-    return poly.rename_variables(renames) if renames else poly
-
-
 def prolong(system: PdeSystem, orders: Sequence[int], extended: bool = False) -> ProlongedSystem:
     """Differentiate every equation over the codec's index range.
 
@@ -359,7 +347,7 @@ def prolong(system: PdeSystem, orders: Sequence[int], extended: bool = False) ->
         if key in cache:
             return cache[key]
         if all(component == 0 for component in i):
-            value = _normalize_jets(system.equations[k - 1], system.m)
+            value = system.equations[k - 1]
         else:
             last = max(position for position, component in enumerate(i) if component > 0)
             lower = list(i)
@@ -387,8 +375,6 @@ class TopOrderResult:
     solved: dict[JetVar, tuple[Polynomial, Polynomial]]  # jet -> (numerator, denominator)
     conditions: list[SideCondition]
     residuals: list[Polynomial]
-    matrix: list[list[Polynomial]]
-    rows_used: tuple[int, ...] = ()
 
 
 def top_order_extraction(
@@ -442,9 +428,7 @@ def top_order_extraction(
     for col in range(len(tops)):
         pivot_row = next((r for r in remaining if not work[r][col].is_zero()), None)
         if pivot_row is None:
-            return TopOrderResult(
-                ok=False, solved={}, conditions=[], residuals=[], matrix=matrix
-            )
+            return TopOrderResult(ok=False, solved={}, conditions=[], residuals=[])
         selected.append(pivot_row)
         remaining.remove(pivot_row)
         for r in remaining:
@@ -482,8 +466,6 @@ def top_order_extraction(
         solved=solved,
         conditions=[SideCondition(denominator)],
         residuals=residuals,
-        matrix=matrix,
-        rows_used=tuple(selected),
     )
 
 
@@ -509,7 +491,8 @@ def minimal_orders(p: int, n: int, m: int, cap: int = 20) -> OrderSearchResult:
         raise SystemShapeError("minimal_orders needs p, n, m, cap >= 1")
     best: tuple[int, tuple[int, ...]] | None = None
     for orders in itertools.product(range(1, cap + 1), repeat=m):
-        n_h, n_s = plain_counts(p, n, orders)
+        codec = IndexCodec(p, n, orders)
+        n_h, n_s = codec.equation_count, codec.unknown_count
         if n_h < n_s:
             continue
         candidate = (n_h, orders)
@@ -520,7 +503,7 @@ def minimal_orders(p: int, n: int, m: int, cap: int = 20) -> OrderSearchResult:
             f"no order vector up to {cap} gives at least as many equations as unknowns"
         )
     n_h, orders = best
-    n_s = plain_counts(p, n, orders)[1]
+    n_s = IndexCodec(p, n, orders).unknown_count
     target = Fraction(m * p, n)
     estimate = (p + n) * target ** m
     return OrderSearchResult(

@@ -13,13 +13,12 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import NotUnivariateError, UndefinedResultantError
-from .poly import NEG_INFINITY, Polynomial, determinant
+from .poly import Polynomial, determinant
 
 __all__ = [
     "gcd_univariate",
     "sylvester_resultant",
     "rational_root_search",
-    "determinant",
 ]
 
 
@@ -78,9 +77,8 @@ def sylvester_resultant(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
     """
     deg_f = f.degree_in(var)
     deg_g = g.degree_in(var)
-    if deg_f == NEG_INFINITY or deg_g == NEG_INFINITY:
+    if deg_f < 0 or deg_g < 0:
         raise UndefinedResultantError("resultant with the zero polynomial")
-    deg_f, deg_g = int(deg_f), int(deg_g)
     if deg_f == 0 and deg_g == 0:
         raise UndefinedResultantError("both polynomials are constant in " + var)
     size = deg_f + deg_g

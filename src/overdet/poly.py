@@ -9,6 +9,10 @@ equal, regardless of how their variable tables are ordered.
 Text syntax accepted by :func:`parse_polynomial`: named variables combined
 with ``+ - * ^``, integer or rational literals such as ``-3/4``, parentheses
 for grouping.  Multiplication is always explicit (``2*x``, never ``2x``).
+
+Degrees are plain integers: the zero polynomial has degree -1 in every
+variable, so a degree below 0 means "zero polynomial" and below 1 means
+"free of the variable".
 """
 
 from __future__ import annotations
@@ -24,9 +28,6 @@ from .errors import MissingAssignmentError, PolynomialParseError
 Scalar = Fraction
 
 ScalarLike = Union[Fraction, int]
-
-#: Degree reported for the zero polynomial ("minus infinity" marker).
-NEG_INFINITY = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -150,11 +151,6 @@ class Polynomial:
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
         return self._terms.get(Monomial(), Fraction(0))
-
-    def total_degree(self) -> int | float:
-        if not self._terms:
-            return NEG_INFINITY
-        return max(mono.degree() for mono in self._terms)
 
     def ordered_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in canonical order: graded lexicographic over name-sorted
@@ -341,11 +337,9 @@ class Polynomial:
                 grad[zero_var] = grad.get(zero_var, 0) + value
         return {var: value for var, value in grad.items() if value}
 
-    def degree_in(self, var: str) -> int | float:
-        """Max exponent of ``var``; the zero polynomial reports NEG_INFINITY."""
-        if not self._terms:
-            return NEG_INFINITY
-        return max(mono.exponent(var) for mono in self._terms)
+    def degree_in(self, var: str) -> int:
+        """Max exponent of ``var``; the zero polynomial reports -1."""
+        return max((mono.exponent(var) for mono in self._terms), default=-1)
 
     def coefficient_in(self, var: str, power: int) -> "Polynomial":
         """The coefficient of ``var ** power``, free of ``var``."""
@@ -360,16 +354,10 @@ class Polynomial:
 
         Returns an empty list for the zero polynomial.
         """
-        degree = self.degree_in(var)
-        if degree == NEG_INFINITY:
-            return []
-        return [self.coefficient_in(var, k) for k in range(int(degree) + 1)]
+        return [self.coefficient_in(var, k) for k in range(self.degree_in(var) + 1)]
 
     def leading_coefficient_in(self, var: str) -> "Polynomial":
-        degree = self.degree_in(var)
-        if degree == NEG_INFINITY:
-            return Polynomial.zero()
-        return self.coefficient_in(var, int(degree))
+        return self.coefficient_in(var, self.degree_in(var))
 
     def rename_variables(self, mapping: Mapping[str, str]) -> "Polynomial":
         """Rename variables; exponents merge when two names collide."""

@@ -16,7 +16,7 @@ from math import gcd, lcm
 from typing import Mapping
 
 from .errors import NotASolutionError
-from .jets import ProlongedSystem
+from .jets import IndexCodec, ProlongedSystem
 
 ScalarPoint = Mapping[str, Fraction]
 
@@ -132,10 +132,9 @@ def count_active_unknowns(prolonged: ProlongedSystem) -> int:
     return len(names & occurring)
 
 
-def active_unknown_bound(prolonged: ProlongedSystem) -> Fraction:
+def active_unknown_bound(codec: IndexCodec) -> Fraction:
     """Upper estimate for the active-unknown count from the system shape:
     equations * p/(p+n) * (1 + sum of reciprocal orders)."""
-    codec = prolonged.codec
     reciprocal_sum = sum((Fraction(1, order) for order in codec.orders), Fraction(0))
     return (
         Fraction(codec.equation_count)
@@ -159,5 +158,5 @@ def certify(prolonged: ProlongedSystem, point: ScalarPoint) -> RankReport:
         n_h=prolonged.n_h,
         n_s=prolonged.n_s,
         certified=rank == n_s_real,
-        bound_11_holds=Fraction(n_s_real) <= active_unknown_bound(prolonged),
+        bound_11_holds=Fraction(n_s_real) <= active_unknown_bound(prolonged.codec),
     )

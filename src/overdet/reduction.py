@@ -30,7 +30,7 @@ from .errors import (
     SystemShapeError,
     ZeroLeadingCoefficientError,
 )
-from .poly import NEG_INFINITY, Polynomial
+from .poly import Polynomial
 
 SOLVED = "solved"
 INCONSISTENT = "inconsistent"
@@ -50,10 +50,6 @@ class SideCondition:
     """A polynomial asserted nonzero; downstream results are conditional on it."""
 
     polynomial: Polynomial
-    relation: str = "nonzero"
-
-    def holds_at(self, point: Mapping[str, Fraction]) -> bool:
-        return self.polynomial.evaluate(point) != 0
 
     def is_identically_violated(self) -> bool:
         return self.polynomial.is_zero()
@@ -101,15 +97,14 @@ def reduce_pair(
     conditions always include ``c_top != 0``; when c_top is identically zero
     the condition is violated and the caller must fall back to {f, c}.
     """
-    deg_f = f.degree_in(var)
+    n = f.degree_in(var)
     deg_g = g.degree_in(var)
-    if deg_f != deg_g:
+    if n != deg_g:
         raise DegreeMismatchError(
-            f"degrees in {var} differ: {deg_f} vs {deg_g} (pad or pre-absorb first)"
+            f"degrees in {var} differ: {n} vs {deg_g} (pad or pre-absorb first)"
         )
-    if deg_f == NEG_INFINITY or int(deg_f) < 1:
-        raise DegreeMismatchError(f"pair degree in {var} must be at least 1, got {deg_f}")
-    n = int(deg_f)
+    if n < 1:
+        raise DegreeMismatchError(f"pair degree in {var} must be at least 1, got {n}")
     lead_f = f.coefficient_in(var, n)
     lead_g = g.coefficient_in(var, n)
     if lead_f.is_zero():
@@ -146,10 +141,9 @@ def _finish_survivor(
 ) -> ReductionOutcome:
     """Terminal handling once the pair has collapsed to a single constraint."""
     degree = survivor.degree_in(var)
-    if degree == NEG_INFINITY:
+    if degree < 0:
         trace.append(ReductionStep(RESIDUAL_STEP, (survivor,), ()))
         return ReductionOutcome(DEGENERATE, trace=trace, conditions=conditions)
-    degree = int(degree)
     if degree == 0:
         trace.append(ReductionStep(INCONSISTENCY, (survivor,), (survivor,)))
         return ReductionOutcome(INCONSISTENT, trace=trace, conditions=conditions)
@@ -218,9 +212,8 @@ def reduce_chain(f: Polynomial, g: Polynomial, var: str) -> ReductionOutcome:
         if deg_f < deg_g:
             current_f, current_g = current_g, current_f
             deg_f, deg_g = deg_g, deg_f
-        if deg_g == NEG_INFINITY:
+        if deg_g < 0:
             return _finish_survivor(current_f, var, (f, g), trace, conditions)
-        deg_f, deg_g = int(deg_f), int(deg_g)
         if deg_g == 0:
             # a nonzero constant combination rules out every root
             trace.append(ReductionStep(INCONSISTENCY, (current_g,), (current_g,)))
@@ -237,7 +230,7 @@ def reduce_chain(f: Polynomial, g: Polynomial, var: str) -> ReductionOutcome:
             if c.is_zero():
                 # proportional pair: only one independent constraint survives
                 return _finish_survivor(current_f, var, (f, g), trace, conditions)
-            c_degree = int(c.degree_in(var))
+            c_degree = c.degree_in(var)
             if c_degree == deg_f - 1:
                 # working pair continues scaled to primitive form (same roots)
                 current_f, current_g = _primitive_part(c), _primitive_part(d)
@@ -367,7 +360,6 @@ class _EliminationResult:
     reduced: list[Polynomial]
     conditions: list[SideCondition]
     steps: list[ReductionStep]
-    pivot_original_index: int
     lin_coeff: Polynomial  # coefficient of the variable in the terminal pivot
     lin_const: Polynomial  # remaining part of the terminal pivot
     duplicates_only: bool  # every non-pivot equation collapsed via constants
@@ -376,7 +368,7 @@ class _EliminationResult:
 def _eliminate(system: Sequence[Polynomial], var: str) -> _EliminationResult:
     equations = list(system)
     degrees = [e.degree_in(var) for e in equations]
-    if all(d == NEG_INFINITY or int(d) < 1 for d in degrees):
+    if all(d < 1 for d in degrees):
         raise AllDegreeZeroError(f"no equation involves {var}")
     conditions: list[SideCondition] = []
     steps: list[ReductionStep] = []
@@ -384,33 +376,27 @@ def _eliminate(system: Sequence[Polynomial], var: str) -> _EliminationResult:
     duplicates_only = True
     while True:
         degrees = [e.degree_in(var) for e in equations]
-        positive = [
-            i for i, d in enumerate(degrees) if d != NEG_INFINITY and int(d) >= 1
-        ]
+        positive = [i for i, d in enumerate(degrees) if d >= 1]
         if not positive:
             raise PivotDegenerateError(
                 f"{var} vanished from every equation during elimination"
             )
-        pivot_index = min(positive, key=lambda i: (int(degrees[i]), i))
+        pivot_index = min(positive, key=lambda i: (degrees[i], i))
         pivot = equations[pivot_index]
-        pivot_degree = int(degrees[pivot_index])
+        pivot_degree = degrees[pivot_index]
         pivot_lead = pivot.coefficient_in(var, pivot_degree)
         if pivot_lead.is_zero():
             raise PivotDegenerateError("pivot has identically zero leading coefficient")
-        higher = [
-            i
-            for i in positive
-            if i != pivot_index and int(degrees[i]) >= pivot_degree
-        ]
+        higher = [i for i in positive if i != pivot_index and degrees[i] >= pivot_degree]
         if higher:
             for index in higher:
                 reduced = equations[index]
                 while True:
                     degree = reduced.degree_in(var)
-                    if degree == NEG_INFINITY or int(degree) < pivot_degree:
+                    if degree < pivot_degree:
                         break
-                    lead = reduced.coefficient_in(var, int(degree))
-                    shift = x ** (int(degree) - pivot_degree)
+                    lead = reduced.coefficient_in(var, degree)
+                    shift = x ** (degree - pivot_degree)
                     combination = _primitive_part(
                         reduced * pivot_lead - pivot * lead * shift
                     )
@@ -441,9 +427,7 @@ def _eliminate(system: Sequence[Polynomial], var: str) -> _EliminationResult:
             )
         mate_index = mates[0]
         mate = equations[mate_index]
-        mate_degree = mate.degree_in(var)
-        mate_degree = 0 if mate_degree == NEG_INFINITY else int(mate_degree)
-        raised = mate * x ** (pivot_degree - mate_degree)
+        raised = mate * x ** (pivot_degree - mate.degree_in(var))
         raised_lead = raised.coefficient_in(var, pivot_degree)
         combination = _primitive_part(pivot * raised_lead - raised * pivot_lead)
         cond = SideCondition(raised_lead)
@@ -460,7 +444,6 @@ def _eliminate(system: Sequence[Polynomial], var: str) -> _EliminationResult:
         reduced=reduced_system,
         conditions=conditions,
         steps=steps,
-        pivot_original_index=pivot_index,
         lin_coeff=lin_coeff,
         lin_const=lin_const,
         duplicates_only=duplicates_only,
@@ -502,8 +485,7 @@ def _complete_univariate(
         {var: root} for root in roots if _verified(system, {var: root})
     ]
     cofactor = _split_off_roots(survivor, var, roots)
-    cofactor_degree = cofactor.degree_in(var)
-    fully_split = cofactor_degree != NEG_INFINITY and int(cofactor_degree) == 0
+    fully_split = cofactor.degree_in(var) == 0
     if fully_split:
         if verified:
             return ReductionOutcome(

@@ -222,7 +222,7 @@ def test_criterion_06_active_unknown_bound():
             for extended in (False, True):
                 prolonged = prolong(system, orders, extended=extended)
                 count = count_active_unknowns(prolonged)
-                assert Fraction(count) <= active_unknown_bound(prolonged)
+                assert Fraction(count) <= active_unknown_bound(prolonged.codec)
 
 
 def test_criterion_07_order_minimization_estimate():

@@ -11,11 +11,9 @@ from overdet.jets import (
     IndexCodec,
     JetVar,
     PdeSystem,
-    extended_counts,
     jet_name,
     minimal_orders,
     parse_jet_name,
-    plain_counts,
     prolong,
     top_order_extraction,
     total_derivative,
@@ -178,8 +176,10 @@ def test_prolong_counts_golden():
     extended = prolong(system, (3,), extended=True)
     assert (plain.n_h, plain.n_s) == (6, 4)
     assert (extended.n_h, extended.n_s) == (8, 5)
-    assert plain_counts(1, 1, (3,)) == (6, 4)
-    assert extended_counts(1, 1, (3,)) == (8, 5)
+    codec = IndexCodec(1, 1, (3,))
+    assert (codec.equation_count, codec.unknown_count) == (6, 4)
+    codec = IndexCodec(1, 1, (3,), extended=True)
+    assert (codec.equation_count, codec.unknown_count) == (8, 5)
 
 
 def test_prolong_first_derivative_entry():
@@ -360,7 +360,6 @@ def test_top_order_extraction_rank_deficiency():
     prolonged = prolong(system, (1, 1))
     result = top_order_extraction(system, prolonged, (0, 0))
     assert not result.ok
-    assert result.matrix  # the deficient matrix is reported
 
 
 # -- order minimization ---------------------------------------------------------
@@ -388,6 +387,14 @@ def test_minimal_orders_surplus_two():
     assert result.n_h == 3
     assert result.estimate == Fraction(3, 2)
     assert result.estimate_holds
+
+
+def test_pde_system_renames_bare_jet_tokens():
+    system = PdeSystem(
+        p=1, n=1, base_vars=("x",), equations=(P("S1[1] - S1^2"), P("S1*S1[0]"))
+    )
+    assert system.equations == (P("S1[1] - S1[0]^2"), P("S1[0]^2"))
+    assert [eq.variables() for eq in system.equations] == [("S1[1]", "S1[0]"), ("S1[0]",)]
 
 
 def test_pde_system_validation():

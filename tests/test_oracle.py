@@ -85,6 +85,8 @@ def test_resultant_distinct_constant_shifts_is_nonzero_constant():
 def test_resultant_of_two_constants_undefined():
     with pytest.raises(UndefinedResultantError):
         sylvester_resultant(P("3"), P("5"), "y")
+    with pytest.raises(UndefinedResultantError):
+        sylvester_resultant(Polynomial.zero(), P("y - 1"), "y")
 
 
 def test_determinant_golden():

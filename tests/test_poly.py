@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from overdet.errors import MissingAssignmentError, PolynomialParseError
-from overdet.poly import NEG_INFINITY, Monomial, Polynomial, parse_polynomial
+from overdet.poly import Monomial, Polynomial, parse_polynomial
 
 P = parse_polynomial
 
@@ -63,7 +63,10 @@ def test_partial_derivative():
 def test_degree_in():
     assert P("x^2*y + y^3").degree_in("x") == 2
     assert P("y^3").degree_in("x") == 0
-    assert Polynomial.zero().degree_in("x") == NEG_INFINITY
+    zero = Polynomial.zero()
+    assert zero.degree_in("x") == -1
+    assert zero.coefficients_in("x") == []
+    assert zero.leading_coefficient_in("x") == Polynomial.zero()
 
 
 def test_coefficients_in():

@@ -184,7 +184,7 @@ def test_count_active_unknowns_and_bound():
     system = _pair("S1[1] - S1[0]", "S1[0]*S1[1] - S1[0]^2")
     prolonged = prolong(system, (1,))
     assert count_active_unknowns(prolonged) == 2
-    assert active_unknown_bound(prolonged) == 2  # 2 * (1/2) * (1 + 1/1)
+    assert active_unknown_bound(prolonged.codec) == 2  # 2 * (1/2) * (1 + 1/1)
 
 
 def test_count_active_unknowns_without_jets():
@@ -253,4 +253,4 @@ def test_rank_bounded_by_dimensions():
         matrix = jacobian(prolonged, point)
         rank = exact_rank(matrix)
         assert rank <= min(prolonged.n_h, prolonged.n_s)
-        assert count_active_unknowns(prolonged) <= active_unknown_bound(prolonged)
+        assert count_active_unknowns(prolonged) <= active_unknown_bound(prolonged.codec)

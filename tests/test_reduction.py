@@ -53,6 +53,8 @@ def test_pair_degree_mismatch_rejected():
         reduce_pair(P("x^2 - 1"), P("x - 1"), "x")
     with pytest.raises(DegreeMismatchError):
         reduce_pair(P("3"), P("5"), "x")
+    with pytest.raises(DegreeMismatchError):
+        reduce_pair(Polynomial.zero(), Polynomial.zero(), "x")
 
 
 def test_pair_combination_identities():
