@@ -23,7 +23,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import IndexRangeError, InfeasibleOrdersError, SystemShapeError
-from .poly import Polynomial, determinant
+# determinant stays importable here: the benchmark traces jets.determinant
+from .poly import Polynomial, determinant, extend_minors
 from .reduction import SideCondition
 
 MultiIndex = tuple[int, ...]
@@ -75,9 +76,9 @@ class PdeSystem:
     """First-order system of p+n equations for p unknown functions of m variables.
 
     Equations are polynomials in canonical jet names of order <= 1 and the
-    declared base variable names.  A bare ``S<v>`` token in the given
-    equations is renamed to its canonical zero multi-index name on
-    construction, so ``equations`` only ever holds canonical names.
+    declared base variable names.  Other spellings of a jet token (a bare
+    ``S<v>``, leading zeros as in ``S01[1]``) are renamed on construction,
+    so ``equations`` only ever holds canonical names.
     """
 
     p: int
@@ -118,7 +119,7 @@ class PdeSystem:
                     raise SystemShapeError(
                         f"equation {index}: jet {var} has order {jet.order} > 1"
                     )
-                if "[" not in var:
+                if var != jet.name:
                     renames[var] = jet.name
             canonical.append(equation.rename_variables(renames) if renames else equation)
         object.__setattr__(self, "equations", tuple(canonical))
@@ -382,10 +383,12 @@ def top_order_extraction(
 ) -> TopOrderResult:
     """Solve the p+n equations at multi-index i for the mp jets one order up.
 
-    Those jets enter the equations linearly; the linear system is solved
-    exactly over the polynomial ring (denominators become side conditions)
-    and the leftover equations are returned with the solved jets substituted,
-    cross-multiplied by the denominator, as consistency residuals.
+    Those jets enter the equations linearly.  One table of minors of the
+    augmented rows ``[d eq/d top_1, ..., d eq/d top_mp, -rest]``, grown a
+    selected row at a time, gives the pivot rows, the denominator (a side
+    condition), the Cramer numerators, and the leftover equations with the
+    solved jets substituted, cross-multiplied by the denominator, as
+    consistency residuals.
     """
     p, n, m = system.p, system.n, system.m
     if n < (m - 1) * p:
@@ -403,8 +406,7 @@ def top_order_extraction(
     ]
     tops.sort(key=lambda jet: codec.encode_unknown(jet.v, jet.j))
     top_names = [jet.name for jet in tops]
-    matrix: list[list[Polynomial]] = []
-    rests: list[Polynomial] = []
+    rows: list[list[Polynomial]] = []
     for equation in equations:
         row = [equation.partial_derivative(name) for name in top_names]
         rest = equation
@@ -418,49 +420,34 @@ def top_order_extraction(
         for used in rest.variables():
             if used in top_names:
                 raise SystemShapeError("equations are not linear in the top-order jets")
-        matrix.append(row)
-        rests.append(rest)
+        rows.append(row + [-rest])
 
-    # greedy fraction-free elimination to find an independent row per column
-    work = [list(row) for row in matrix]
-    remaining = list(range(len(work)))
-    selected: list[int] = []
-    for col in range(len(tops)):
-        pivot_row = next((r for r in remaining if not work[r][col].is_zero()), None)
-        if pivot_row is None:
-            return TopOrderResult(ok=False, solved={}, conditions=[], residuals=[])
-        selected.append(pivot_row)
-        remaining.remove(pivot_row)
+    # pivot for column k: the first remaining row that keeps the minor on
+    # columns 0..k nonzero, as column-by-column elimination would choose
+    size = len(tops)
+    zero = Polynomial.zero()
+    minors = {frozenset(): Polynomial.constant(1)}
+    remaining = list(range(len(rows)))
+    for col in range(size):
+        leading = frozenset(range(col + 1))
         for r in remaining:
-            if work[r][col].is_zero():
-                continue
-            factor_p, factor_r = work[pivot_row][col], work[r][col]
-            work[r] = [
-                entry * factor_p - pivot_entry * factor_r
-                for entry, pivot_entry in zip(work[r], work[pivot_row])
-            ]
+            extended = extend_minors(minors, rows[r])
+            if not extended.get(leading, zero).is_zero():
+                break
+        else:
+            return TopOrderResult(ok=False, solved={}, conditions=[], residuals=[])
+        minors = extended
+        remaining.remove(r)
 
-    square = [matrix[r] for r in selected]
-    rhs = [-rests[r] for r in selected]
-    denominator = determinant(square)
+    # numerator c: the minor without column c, right-hand side moved to c
+    every = frozenset(range(size + 1))
+    denominator = minors[frozenset(range(size))]
     solved: dict[JetVar, tuple[Polynomial, Polynomial]] = {}
-    numerators = []
-    for col in range(len(tops)):
-        replaced = [
-            [rhs[row] if c == col else square[row][c] for c in range(len(tops))]
-            for row in range(len(tops))
-        ]
-        numerator = determinant(replaced)
-        numerators.append(numerator)
-        solved[tops[col]] = (numerator, denominator)
-    residuals = []
-    for r in range(len(equations)):
-        if r in selected:
-            continue
-        residual = rests[r] * denominator
-        for col in range(len(tops)):
-            residual = residual + matrix[r][col] * numerators[col]
-        residuals.append(residual)
+    for col, jet in enumerate(tops):
+        numerator = minors.get(every - {col}, zero)
+        solved[jet] = (-numerator if (size - 1 - col) % 2 else numerator, denominator)
+    # rest * denominator + row . numerators = -(full minor with that row)
+    residuals = [-extend_minors(minors, rows[r]).get(every, zero) for r in remaining]
     return TopOrderResult(
         ok=True,
         solved=solved,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -404,6 +405,34 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+Minors = dict[frozenset[int], Polynomial]
+
+
+def extend_minors(minors: Minors, row: Sequence[Polynomial]) -> Minors:
+    """Append ``row`` to a table mapping column sets to the minors of the rows
+    so far on those columns, by Laplace expansion along the new last row;
+    sets whose minors are structurally zero are absent."""
+    updated: Minors = {}
+    for used, value in minors.items():
+        used_below = 0
+        for col, entry in enumerate(row):
+            if col in used:
+                used_below += 1
+                continue
+            if entry.is_zero():
+                continue
+            term = value * entry
+            # sign flips once per used column above col (inversion count)
+            if (len(used) - used_below) % 2:
+                term = -term
+            key = used | {col}
+            if key in updated:
+                updated[key] = updated[key] + term
+            else:
+                updated[key] = term
+    return updated
+
+
 def determinant(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Exact determinant of a square polynomial matrix.
 
@@ -411,36 +440,11 @@ def determinant(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     that elimination and resultant checks produce.
     """
     size = len(matrix)
-    if size == 0:
-        return Polynomial.constant(1)
     for row in matrix:
         if len(row) != size:
             raise ValueError("determinant requires a square matrix")
-    # partial[cols] = signed sum over ways to fill the first len(cols) rows
-    partial: dict[frozenset[int], Polynomial] = {frozenset(): Polynomial.constant(1)}
-    for row_index in range(size):
-        updated: dict[frozenset[int], Polynomial] = {}
-        for used, value in partial.items():
-            used_below = 0
-            for col in range(size):
-                if col in used:
-                    used_below += 1
-                    continue
-                entry = matrix[row_index][col]
-                if entry.is_zero():
-                    continue
-                # sign flips once per used column above col (inversion count)
-                sign = -1 if (len(used) - used_below) % 2 else 1
-                key = used | {col}
-                term = value * entry * sign
-                if key in updated:
-                    updated[key] = updated[key] + term
-                else:
-                    updated[key] = term
-        partial = updated
-        if not partial:
-            return Polynomial.zero()
-    return partial.get(frozenset(range(size)), Polynomial.zero())
+    minors = reduce(extend_minors, matrix, {frozenset(): Polynomial.constant(1)})
+    return minors.get(frozenset(range(size)), Polynomial.zero())
 
 
 # -- text parsing ------------------------------------------------------------

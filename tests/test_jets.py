@@ -11,6 +11,7 @@ from overdet.jets import (
     IndexCodec,
     JetVar,
     PdeSystem,
+    TopOrderResult,
     jet_name,
     minimal_orders,
     parse_jet_name,
@@ -18,7 +19,8 @@ from overdet.jets import (
     top_order_extraction,
     total_derivative,
 )
-from overdet.poly import Polynomial, parse_polynomial
+from overdet.poly import Polynomial, determinant, parse_polynomial
+from overdet.reduction import SideCondition
 
 P = parse_polynomial
 
@@ -362,6 +364,108 @@ def test_top_order_extraction_rank_deficiency():
     assert not result.ok
 
 
+def _greedy_cramer_extraction(system, prolonged, i):
+    """Reference solve: greedy fraction-free pivoting, one determinant per
+    Cramer column, residuals cross-multiplied from the numerators."""
+    codec = prolonged.codec
+    equations = [
+        prolonged.equations[codec.encode_equation(k, i)]
+        for k in range(1, system.p + system.n + 1)
+    ]
+    tops = sorted(
+        (
+            JetVar(v, tuple(c + (pos == s) for pos, c in enumerate(i)))
+            for v in range(1, system.p + 1)
+            for s in range(system.m)
+        ),
+        key=lambda jet: codec.encode_unknown(jet.v, jet.j),
+    )
+    matrix = [[eq.partial_derivative(jet.name) for jet in tops] for eq in equations]
+    rests = [
+        eq - sum((entry * Polynomial.variable(jet.name) for entry, jet in zip(row, tops)),
+                 Polynomial.zero())
+        for eq, row in zip(equations, matrix)
+    ]
+    work = [list(row) for row in matrix]
+    remaining = list(range(len(work)))
+    selected = []
+    for col in range(len(tops)):
+        pivot = next((r for r in remaining if not work[r][col].is_zero()), None)
+        if pivot is None:
+            return TopOrderResult(False, {}, [], []), selected
+        selected.append(pivot)
+        remaining.remove(pivot)
+        for r in remaining:
+            if work[r][col].is_zero():
+                continue
+            factor_p, factor_r = work[pivot][col], work[r][col]
+            work[r] = [a * factor_p - b * factor_r for a, b in zip(work[r], work[pivot])]
+    square = [matrix[r] for r in selected]
+    denominator = determinant(square)
+    numerators = [
+        determinant([row[:col] + [-rests[r]] + row[col + 1:] for r, row in zip(selected, square)])
+        for col in range(len(tops))
+    ]
+    residuals = [
+        rests[r] * denominator
+        + sum((a * b for a, b in zip(matrix[r], numerators)), Polynomial.zero())
+        for r in remaining
+    ]
+    solved = {jet: (num, denominator) for jet, num in zip(tops, numerators)}
+    return TopOrderResult(True, solved, [SideCondition(denominator)], residuals), selected
+
+
+def _random_pde_system(rng):
+    """Sparse first-order system in a shuffled row order; most systems give
+    every top column an owner row, the rest and the repeated rows are often
+    rank-deficient."""
+    p, m = rng.randint(1, 3), rng.randint(1, 3)
+    n = (m - 1) * p + rng.randint(0, 1)
+    base = ("x", "y", "z")[:m]
+    first = [jet_name(v, tuple(int(pos == s) for pos in range(m)))
+             for v in range(1, p + 1) for s in range(m)]
+    lower = [jet_name(v, (0,) * m) for v in range(1, p + 1)] + list(base)
+    owners = rng.sample(range(p + n), len(first)) if rng.random() < 0.7 else []
+    equations = []
+    for k in range(p + n):
+        if equations and rng.random() < 0.1:
+            equations.append(equations[rng.randrange(len(equations))] * rng.choice((-2, 1, 3)))
+            continue
+        names = {name for name, owner in zip(first, owners) if owner == k}
+        names.update(rng.sample(first, rng.randint(0, 1)))
+        eq = Polynomial.constant(rng.randint(-2, 2))
+        for name in sorted(names):
+            term = Polynomial.variable(name) * rng.choice((-2, -1, 1, 3))
+            if rng.random() < 0.3:
+                term = term * Polynomial.variable(rng.choice(lower + first))
+            eq = eq + term
+        eq = eq + Polynomial.variable(rng.choice(lower)) ** rng.randint(1, 2)
+        equations.append(eq)
+    i = (0,) * m
+    while not any(i):
+        i = tuple(rng.randint(0, 1) for _ in range(m))
+    system = PdeSystem(p=p, n=n, base_vars=base, equations=tuple(equations))
+    return system, prolong(system, tuple(c + 1 for c in i)), i
+
+
+def test_top_order_extraction_matches_greedy_cramer():
+    rng = random.Random(20240)
+    deficient = out_of_order = 0
+    for _ in range(80):
+        system, prolonged, i = _random_pde_system(rng)
+        expected, selected = _greedy_cramer_extraction(system, prolonged, i)
+        result = top_order_extraction(system, prolonged, i)
+        assert result.ok == expected.ok
+        assert result.solved == expected.solved
+        assert [c.polynomial for c in result.conditions] == [
+            c.polynomial for c in expected.conditions
+        ]
+        assert result.residuals == expected.residuals
+        deficient += not expected.ok
+        out_of_order += selected != sorted(selected) or selected[:1] not in ([], [0])
+    assert deficient >= 5 and out_of_order >= 5
+
+
 # -- order minimization ---------------------------------------------------------
 
 
@@ -395,6 +499,15 @@ def test_pde_system_renames_bare_jet_tokens():
     )
     assert system.equations == (P("S1[1] - S1[0]^2"), P("S1[0]^2"))
     assert [eq.variables() for eq in system.equations] == [("S1[1]", "S1[0]"), ("S1[0]",)]
+    # leading zeros name the same jet as the canonical token
+    system = PdeSystem(
+        p=1, n=1, base_vars=("x",), equations=(P("S01[1] - S1[0]"), P("S1[1] - S1[0]^2"))
+    )
+    assert system.equations[0].variables() == ("S1[1]", "S1[0]")
+    prolonged = prolong(system, (2,))
+    assert [str(eq) for _, eq in prolonged.equation_items()] == [
+        "-S1[0] + S1[1]", "-S1[0]^2 + S1[1]", "-S1[1] + S1[2]", "-2*S1[0]*S1[1] + S1[2]"
+    ]
 
 
 def test_pde_system_validation():

@@ -97,6 +97,13 @@ def test_determinant_golden():
     assert determinant([[x, one], [one, x]]) == P("x^2 - 1")
     # singular matrix
     assert determinant([[one, one], [one, one]]) == Polynomial.zero()
+    assert determinant([]) == Polynomial.constant(1)
+    zero = Polynomial.zero()
+    assert determinant([[x, one, two], [zero, zero, zero], [one, x, one]]).is_zero()
+    with pytest.raises(ValueError):
+        determinant([[one, two], [two]])
+    with pytest.raises(ValueError):
+        determinant([[one, two, x], [two, one, x]])
 
 
 def test_determinant_matches_cofactor_on_random_matrices():
