@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 from .errors import IndexRangeError, InfeasibleOrdersError, SystemShapeError
 # determinant stays importable here: the benchmark traces jets.determinant
-from .poly import Polynomial, determinant, extend_minors
+from .poly import Minors, Polynomial, determinant, extend_minors
 from .reduction import SideCondition
 
 MultiIndex = tuple[int, ...]
@@ -423,20 +423,19 @@ def top_order_extraction(
         rows.append(row + [-rest])
 
     # pivot for column k: the first remaining row that keeps the minor on
-    # columns 0..k nonzero, as column-by-column elimination would choose
+    # columns 0..k nonzero, as column-by-column elimination would choose;
+    # only that minor is probed, and only the kept row extends the table
     size = len(tops)
     zero = Polynomial.zero()
     minors = {frozenset(): Polynomial.constant(1)}
     remaining = list(range(len(rows)))
     for col in range(size):
-        leading = frozenset(range(col + 1))
         for r in remaining:
-            extended = extend_minors(minors, rows[r])
-            if not extended.get(leading, zero).is_zero():
+            if not _leading_minor(minors, rows[r], col).is_zero():
                 break
         else:
             return TopOrderResult(ok=False, solved={}, conditions=[], residuals=[])
-        minors = extended
+        minors = extend_minors(minors, rows[r])
         remaining.remove(r)
 
     # numerator c: the minor without column c, right-hand side moved to c
@@ -454,6 +453,22 @@ def top_order_extraction(
         conditions=[SideCondition(denominator)],
         residuals=residuals,
     )
+
+
+def _leading_minor(minors: Minors, row: Sequence[Polynomial], k: int) -> Polynomial:
+    """The minor on columns 0..k once ``row`` is appended to a table of minors
+    of k rows: the one entry of ``extend_minors(minors, row)`` for that set,
+    a sum of k+1 products along the new row."""
+    leading = frozenset(range(k + 1))
+    total = Polynomial.zero()
+    for col in range(k + 1):
+        minor = minors.get(leading - {col})
+        if minor is None or row[col].is_zero():
+            continue
+        term = minor * row[col]
+        # each of the k-col columns after col flips the sign once
+        total = total + (-term if (k - col) % 2 else term)
+    return total
 
 
 # -- order-vector minimization ---------------------------------------------------

@@ -103,6 +103,17 @@ class Polynomial:
         self._vars = table
         self._terms = cleaned
 
+    @classmethod
+    def _canonical(cls, terms: dict[Monomial, Fraction], table: tuple[str, ...]) -> "Polynomial":
+        """Wrap ``terms`` whose coefficients are already ``Fraction`` values
+        and whose variables all appear in ``table``; only zeros are dropped.
+        Arithmetic on existing polynomials keeps both conditions, so it
+        skips the validation of the public constructor."""
+        poly = object.__new__(cls)
+        poly._vars = table
+        poly._terms = {mono: coeff for mono, coeff in terms.items() if coeff}
+        return poly
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -138,7 +149,7 @@ class Polynomial:
 
     def variables(self) -> tuple[str, ...]:
         """Variables that actually occur, in table order."""
-        occurring = {v for mono in self._terms for v in mono.variables()}
+        occurring = {v for mono in self._terms for v, _ in mono.exps}
         return tuple(v for v in self._vars if v in occurring)
 
     def is_zero(self) -> bool:
@@ -179,13 +190,13 @@ class Polynomial:
             return NotImplemented
         acc = dict(self._terms)
         for mono, coeff in rhs._terms.items():
-            acc[mono] = acc.get(mono, Fraction(0)) + coeff
-        return Polynomial(acc, _merge_tables(self._vars, rhs._vars))
+            acc[mono] = acc[mono] + coeff if mono in acc else coeff
+        return Polynomial._canonical(acc, _merge_tables(self._vars, rhs._vars))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self._terms.items()}, self._vars)
+        return Polynomial._canonical({m: -c for m, c in self._terms.items()}, self._vars)
 
     def __sub__(self, other) -> "Polynomial":
         rhs = self._coerce(other)
@@ -207,8 +218,8 @@ class Polynomial:
         for m1, c1 in self._terms.items():
             for m2, c2 in rhs._terms.items():
                 mono = m1 * m2
-                acc[mono] = acc.get(mono, Fraction(0)) + c1 * c2
-        return Polynomial(acc, _merge_tables(self._vars, rhs._vars))
+                acc[mono] = acc[mono] + c1 * c2 if mono in acc else c1 * c2
+        return Polynomial._canonical(acc, _merge_tables(self._vars, rhs._vars))
 
     __rmul__ = __mul__
 
@@ -238,15 +249,26 @@ class Polynomial:
     # -- calculus and structure --------------------------------------------
 
     def evaluate(self, point: Mapping[str, ScalarLike]) -> Fraction:
-        """Exact value at a point assigning a rational to every occurring variable."""
+        """Exact value at a point assigning a rational to every occurring variable.
+
+        Every variable of a term must be assigned, even when another factor
+        is zero.  A term stops at its first zero factor and adds nothing;
+        otherwise its coefficient multiplies the product of the raw point
+        values once.
+        """
         total = Fraction(0)
         for mono, coeff in self._terms.items():
-            value = coeff
-            for var, exp in mono.exps:
+            for var, _ in mono.exps:
                 if var not in point:
                     raise MissingAssignmentError(var)
-                value *= Fraction(point[var]) ** exp
-            total += value
+            product = 1
+            for var, exp in mono.exps:
+                value = point[var]
+                if not value:
+                    break
+                product *= value if exp == 1 else value ** exp
+            else:
+                total += coeff * product
         return total
 
     def substitute(self, replacements: Mapping[str, "Polynomial | ScalarLike"]) -> "Polynomial":
@@ -273,8 +295,9 @@ class Polynomial:
             lowered = dict(mono.exps)
             lowered[var] = exp - 1
             new_mono = Monomial.of(lowered)
-            acc[new_mono] = acc.get(new_mono, Fraction(0)) + coeff * exp
-        return Polynomial(acc, self._vars)
+            term = coeff * exp
+            acc[new_mono] = acc[new_mono] + term if new_mono in acc else term
+        return Polynomial._canonical(acc, self._vars)
 
     def derivation(self, images: Mapping[str, str | int]) -> "Polynomial":
         """Sum of ``dP/dx * image(x)`` over the variables x in ``images``.
@@ -308,7 +331,7 @@ class Polynomial:
                 if v in mapped and images[v] != 1 and images[v] not in self._vars
             )
         )
-        return Polynomial(acc, self._vars + added)
+        return Polynomial._canonical(acc, self._vars + added)
 
     def gradient_at(self, point: Mapping[str, ScalarLike]) -> dict[str, Fraction]:
         """The nonzero first partials at a point, ``{variable: value}``.
@@ -319,7 +342,7 @@ class Polynomial:
         """
         grad: dict[str, Fraction] = {}
         for mono, coeff in self._terms.items():
-            value = coeff
+            product = coeff
             zeros = 0
             zero_var = ""
             for var, exp in mono.exps:
@@ -327,15 +350,16 @@ class Polynomial:
                     raise MissingAssignmentError(var)
                 x = point[var]
                 if x:
-                    value *= Fraction(x) ** exp
+                    product *= x if exp == 1 else x ** exp
                 else:
                     zeros += exp
                     zero_var = var
             if zeros == 0:
                 for var, exp in mono.exps:
-                    grad[var] = grad.get(var, 0) + value * exp / Fraction(point[var])
+                    term = product * exp / point[var]
+                    grad[var] = grad[var] + term if var in grad else term
             elif zeros == 1:
-                grad[zero_var] = grad.get(zero_var, 0) + value
+                grad[zero_var] = grad[zero_var] + product if zero_var in grad else product
         return {var: value for var, value in grad.items() if value}
 
     def degree_in(self, var: str) -> int:

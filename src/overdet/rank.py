@@ -4,8 +4,9 @@ A candidate jet point solves the prolonged system when it zeroes every
 equation; it is certified isolated (with respect to the occurring unknowns)
 when the Jacobian of the system at the point has rank equal to the number of
 jet unknowns that actually occur.  The Jacobian is read off one walk over
-each equation's terms, and its rank comes from a sparse fraction-free
-elimination over Python integers, so all linear algebra is exact.
+each equation's terms into sparse rows, and its rank comes from a sparse
+fraction-free elimination over Python integers on those rows, so all linear
+algebra is exact.
 """
 
 from __future__ import annotations
@@ -27,9 +28,21 @@ _ZERO = Fraction(0)
 class JacobianMatrix:
     """Partial derivatives of every equation by every jet unknown, at a point."""
 
-    entries: list[list[Fraction]]  # row per equation index, column per unknown index
+    rows: list[dict[int, Fraction]]  # per equation index: {column: nonzero partial}
     equation_indices: tuple[int, ...]
-    unknown_indices: tuple[int, ...]
+    unknown_indices: tuple[int, ...]  # column -> unknown index
+
+    @property
+    def entries(self) -> list[list[Fraction]]:
+        """The dense matrix, row per equation index, column per unknown index."""
+        width = len(self.unknown_indices)
+        dense = []
+        for row in self.rows:
+            line = [_ZERO] * width
+            for col, value in row.items():
+                line[col] = value
+            dense.append(line)
+        return dense
 
 
 @dataclass(frozen=True)
@@ -47,31 +60,32 @@ def jacobian(prolonged: ProlongedSystem, point: ScalarPoint) -> JacobianMatrix:
     unknowns = prolonged.unknowns()
     columns = sorted(unknowns)
     position = {unknowns[col].name: place for place, col in enumerate(columns)}
-    rows = sorted(prolonged.equations)
-    entries = []
-    for row in rows:
-        line = [_ZERO] * len(columns)
-        for var, value in prolonged.equations[row].gradient_at(point).items():
-            place = position.get(var)
-            if place is not None:
-                line[place] = value
-        entries.append(line)
+    indices = sorted(prolonged.equations)
+    rows = []
+    for index in indices:
+        gradient = prolonged.equations[index].gradient_at(point)
+        rows.append({position[var]: value for var, value in gradient.items() if var in position})
     return JacobianMatrix(
-        entries=entries, equation_indices=tuple(rows), unknown_indices=tuple(columns)
+        rows=rows, equation_indices=tuple(indices), unknown_indices=tuple(columns)
     )
 
 
 def exact_rank(matrix: JacobianMatrix | list[list[Fraction]]) -> int:
     """Rank over the rationals by sparse fraction-free elimination.
 
-    Rows become primitive integer vectors stored as ``{column: value}``.
+    Rows become primitive integer vectors stored as ``{column: value}``,
+    read straight from a ``JacobianMatrix``'s sparse rows or from the
+    nonzero entries of dense rational rows.
     Each step takes the shortest remaining row and its entry of smallest
     magnitude as pivot, clears that column from the other rows by integer
     cross-multiplication, and divides every updated row by the gcd of its
     entries; only Python ints are involved and zeros are never stored.
     """
-    rows = matrix.entries if isinstance(matrix, JacobianMatrix) else matrix
-    work = [row for row in map(_primitive_row, rows) if row]
+    if isinstance(matrix, JacobianMatrix):
+        rows = matrix.rows
+    else:
+        rows = ({col: value for col, value in enumerate(row) if value} for row in matrix)
+    work = [_primitive_row(row) for row in rows if row]
     rank = 0
     while work:
         shortest = min(range(len(work)), key=lambda index: len(work[index]))
@@ -103,12 +117,11 @@ def exact_rank(matrix: JacobianMatrix | list[list[Fraction]]) -> int:
     return rank
 
 
-def _primitive_row(row: list[Fraction]) -> dict[int, int]:
-    """The nonzero entries of a rational row, scaled to coprime integers."""
-    nonzero = {col: value for col, value in enumerate(row) if value}
-    scale = lcm(*(value.denominator for value in nonzero.values()))
+def _primitive_row(row: dict[int, Fraction]) -> dict[int, int]:
+    """A sparse rational row without zeros, scaled to coprime integers."""
+    scale = lcm(*(value.denominator for value in row.values()))
     return _divide_content(
-        {col: value.numerator * (scale // value.denominator) for col, value in nonzero.items()}
+        {col: value.numerator * (scale // value.denominator) for col, value in row.items()}
     )
 
 

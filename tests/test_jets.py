@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from overdet import jets
 from overdet.errors import IndexRangeError, SystemShapeError
 from overdet.jets import (
     IndexCodec,
@@ -19,7 +20,7 @@ from overdet.jets import (
     top_order_extraction,
     total_derivative,
 )
-from overdet.poly import Polynomial, determinant, parse_polynomial
+from overdet.poly import Polynomial, determinant, extend_minors, parse_polynomial
 from overdet.reduction import SideCondition
 
 P = parse_polynomial
@@ -464,6 +465,29 @@ def test_top_order_extraction_matches_greedy_cramer():
         deficient += not expected.ok
         out_of_order += selected != sorted(selected) or selected[:1] not in ([], [0])
     assert deficient >= 5 and out_of_order >= 5
+
+
+def test_top_order_extraction_extends_only_kept_rows(monkeypatch):
+    calls = []
+
+    def counting(minors, row):
+        calls.append(row)
+        return extend_minors(minors, row)
+
+    monkeypatch.setattr(jets, "extend_minors", counting)
+    rng = random.Random(20240)
+    solved = 0
+    for _ in range(80):
+        system, prolonged, i = _random_pde_system(rng)
+        calls.clear()
+        result = top_order_extraction(system, prolonged, i)
+        size = system.m * system.p
+        if result.ok:
+            solved += 1
+            assert len(calls) == size + len(result.residuals) == system.p + system.n
+        else:
+            assert len(calls) < size
+    assert solved >= 40
 
 
 # -- order minimization ---------------------------------------------------------

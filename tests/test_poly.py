@@ -276,3 +276,67 @@ def test_derivation_is_sum_of_partials_times_images():
         assert f.derivation(images) == expected
     assert P("a^2").derivation({"a": "a"}) == P("2*a^2")
     assert P("c").derivation({"a": "b"}) == Polynomial.zero()
+
+
+# -- zero-skipping evaluation and the private canonical constructor -------------
+
+
+def _per_factor_evaluate(f, point):
+    """Reference: every factor converted and raised, term by term."""
+    total = Fraction(0)
+    for mono, coeff in f.ordered_terms():
+        value = coeff
+        for var, exp in mono.exps:
+            if var not in point:
+                raise MissingAssignmentError(var)
+            value *= Fraction(point[var]) ** exp
+        total += value
+    return total
+
+
+def test_evaluate_matches_per_factor_reference():
+    rng = random.Random(83)
+    names = ["a", "b", "c", "d", "e"]
+    zero_heavy = [Fraction(0)] * 8 + [Fraction(1), Fraction(-3, 2)]
+    rational = [Fraction(0), 1, -2, Fraction(5, 3), Fraction(-7, 4), Fraction(11, 9)]
+    for index in range(400):
+        f = _random_poly(rng, names, terms=rng.randint(0, 8))
+        values = zero_heavy if index % 2 else rational
+        point = {v: rng.choice(values) for v in names}
+        value = f.evaluate(point)
+        assert value == _per_factor_evaluate(f, point)
+        assert type(value) is Fraction
+
+
+def test_evaluate_missing_assignment_in_vanishing_term():
+    # x = 0 zeroes the term, yet y must still be assigned
+    with pytest.raises(MissingAssignmentError):
+        P("x*y").evaluate({"x": 0})
+    with pytest.raises(MissingAssignmentError):
+        P("y^2*x + 1").evaluate({"x": Fraction(0)})
+    assert P("x*y + 2").evaluate({"x": 0, "y": Fraction(1, 3)}) == 2
+
+
+def _assert_canonical(result):
+    terms = dict(result.ordered_terms())
+    assert all(type(coeff) is Fraction and coeff != 0 for coeff in terms.values())
+    assert all(v in result.variable_table for mono in terms for v in mono.variables())
+    rebuilt = Polynomial(terms, result.variable_table)
+    assert rebuilt == result
+    assert rebuilt.variable_table == result.variable_table
+    assert str(rebuilt) == str(result)
+
+
+def test_arithmetic_results_are_canonical():
+    rng = random.Random(89)
+    names = ["u", "v", "w", "t"]
+    for _ in range(300):
+        f = _random_poly(rng, names, terms=rng.randint(0, 6))
+        g = _random_poly(rng, names, terms=rng.randint(0, 6))
+        var = rng.choice(names)
+        images = {v: rng.choice(names + [1]) for v in rng.sample(names, 2)}
+        images["s"] = "u"  # a name f never holds maps to nothing
+        for result in (f + g, f - g, -f, f * g, f + (-f), f * 0, 2 * f - f - f,
+                       f.partial_derivative(var), f.derivation(images),
+                       f.derivation({"u": "new"}), (f * g - f).derivation(images)):
+            _assert_canonical(result)

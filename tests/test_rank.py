@@ -7,8 +7,9 @@ import pytest
 
 from overdet.errors import MissingAssignmentError, NotASolutionError
 from overdet.jets import PdeSystem, prolong
-from overdet.poly import parse_polynomial
+from overdet.poly import Polynomial, parse_polynomial
 from overdet.rank import (
+    RankReport,
     active_unknown_bound,
     certify,
     count_active_unknowns,
@@ -177,7 +178,10 @@ def test_jacobian_and_rank_of_prolonged_3d_system():
     assert matrix.entries == expected
     rank = exact_rank(matrix)
     assert rank == _naive_rank(matrix.entries)
-    assert certify(prolonged, point).rank == rank
+    assert certify(prolonged, point) == RankReport(
+        rank=rank, n_s_real=54, n_h=81, n_s=64, certified=False, bound_11_holds=True
+    )
+    assert rank == 53
 
 
 def test_count_active_unknowns_and_bound():
@@ -254,3 +258,58 @@ def test_rank_bounded_by_dimensions():
         rank = exact_rank(matrix)
         assert rank <= min(prolonged.n_h, prolonged.n_s)
         assert count_active_unknowns(prolonged) <= active_unknown_bound(prolonged.codec)
+
+
+# -- sparse Jacobian rows --------------------------------------------------------
+
+
+def _seeded_prolonged(rng):
+    """A random first-order system prolonged to small random orders, with a
+    zero-heavy point assigning every jet unknown and base variable."""
+    p, m = rng.randint(1, 2), rng.randint(1, 3)
+    n = (m - 1) * p + rng.randint(0, 1)
+    base = ("x", "y", "z")[:m]
+    jets = [f"S{v}[{','.join(str(int(pos == s)) for pos in range(m))}]"
+            for v in range(1, p + 1) for s in range(-1, m)]
+    equations = []
+    for _ in range(p + n):
+        eq = Polynomial.constant(rng.randint(-2, 2))
+        for _ in range(rng.randint(1, 4)):
+            term = Polynomial.constant(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+            for name in rng.sample(jets + list(base), rng.randint(1, 2)):
+                term = term * Polynomial.variable(name) ** rng.randint(1, 2)
+            eq = eq + term
+        equations.append(eq)
+    system = PdeSystem(p=p, n=n, base_vars=base, equations=tuple(equations))
+    prolonged = prolong(system, tuple(rng.randint(1, 3 if m < 3 else 2) for _ in range(m)))
+    values = [Fraction(0)] * 6 + [Fraction(1), Fraction(-2), Fraction(3, 4)]
+    point = {jet.name: rng.choice(values) for jet in prolonged.unknowns().values()}
+    point.update({name: rng.choice(values) for name in base})
+    return prolonged, point
+
+
+def _dense_jacobian(prolonged, point):
+    """The dense layout: one zero-filled row per equation, filled from gradient_at."""
+    unknowns = prolonged.unknowns()
+    columns = sorted(unknowns)
+    position = {unknowns[col].name: place for place, col in enumerate(columns)}
+    rows = []
+    for index in sorted(prolonged.equations):
+        line = [Fraction(0)] * len(columns)
+        for var, value in prolonged.equations[index].gradient_at(point).items():
+            if var in position:
+                line[position[var]] = value
+        rows.append(line)
+    return rows
+
+
+def test_sparse_jacobian_matches_dense_layout_and_rank():
+    rng = random.Random(97)
+    for _ in range(40):
+        prolonged, point = _seeded_prolonged(rng)
+        matrix = jacobian(prolonged, point)
+        dense = matrix.entries
+        assert dense == _dense_jacobian(prolonged, point)
+        assert all(value for row in matrix.rows for value in row.values())
+        assert exact_rank(matrix) == exact_rank(dense) == _naive_rank(dense)
+
