@@ -20,7 +20,7 @@ from .jets import (
     total_derivative,
 )
 from .oracle import gcd_univariate, rational_root_search, sylvester_resultant
-from .poly import Monomial, Polynomial, Scalar, determinant, parse_polynomial
+from .poly import Polynomial, Scalar, determinant, parse_polynomial
 from .rank import JacobianMatrix, RankReport, certify, count_active_unknowns, exact_rank, jacobian
 from .reduction import (
     ReductionOutcome,
@@ -38,7 +38,6 @@ __all__ = [
     "IndexCodec",
     "JacobianMatrix",
     "JetVar",
-    "Monomial",
     "OrderSearchResult",
     "OverdetError",
     "PdeSystem",

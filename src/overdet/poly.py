@@ -18,7 +18,6 @@ variable, so a degree below 0 means "zero polynomial" and below 1 means
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -31,45 +30,26 @@ Scalar = Fraction
 ScalarLike = Union[Fraction, int]
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A product of named variables raised to positive integer exponents.
+#: A term key: the name-sorted tuple of ``(variable, exponent)`` pairs with
+#: positive exponents; ``()`` is the constant monomial 1.
+Term = tuple[tuple[str, int], ...]
 
-    Stored as a name-sorted tuple of ``(variable, exponent)`` pairs with zero
-    exponents dropped, so equal monomials always hash and compare equal.
-    ``Monomial(())`` is the constant monomial 1.
-    """
+#: Term data the public constructor accepts: pairs in any order, or a mapping.
+TermLike = Union[Iterable[tuple[str, int]], Mapping[str, int]]
 
-    exps: tuple[tuple[str, int], ...] = ()
 
-    @staticmethod
-    def of(assignments: Mapping[str, int] | Iterable[tuple[str, int]]) -> "Monomial":
-        pairs = dict(assignments)
-        for var, exp in pairs.items():
-            if exp < 0:
-                raise ValueError(f"negative exponent for {var}")
-        return Monomial(tuple(sorted((v, e) for v, e in pairs.items() if e > 0)))
+def _exponent(key: Term, var: str) -> int:
+    for v, e in key:
+        if v == var:
+            return e
+    return 0
 
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
 
-    def exponent(self, var: str) -> int:
-        for v, e in self.exps:
-            if v == var:
-                return e
-        return 0
-
-    def variables(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.exps)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            merged[v] = merged.get(v, 0) + e
-        return Monomial(tuple(sorted(merged.items())))
-
-    def without(self, var: str) -> "Monomial":
-        return Monomial(tuple((v, e) for v, e in self.exps if v != var))
+def _key_product(left: Term, right: Term) -> Term:
+    merged = dict(left)
+    for v, e in right:
+        merged[v] = merged.get(v, 0) + e
+    return tuple(sorted(merged.items()))
 
 
 def _merge_tables(left: tuple[str, ...], right: tuple[str, ...]) -> tuple[str, ...]:
@@ -89,29 +69,42 @@ class Polynomial:
 
     __slots__ = ("_vars", "_terms")
 
-    def __init__(self, terms: Mapping[Monomial, ScalarLike] = (), variables: Iterable[str] = ()):
-        table = tuple(variables)
-        cleaned: dict[Monomial, Fraction] = {}
-        for mono, coeff in dict(terms).items():
+    def __init__(
+        self,
+        terms: Mapping[TermLike, ScalarLike] | Iterable[tuple[TermLike, ScalarLike]] = (),
+        variables: Iterable[str] = (),
+    ):
+        """Build a polynomial from ``{term: coefficient}`` data, or from an
+        iterable of such items, where a term is ``(variable, exponent)``
+        pairs in any order or a ``{variable: exponent}`` mapping.  Zero
+        exponents drop, duplicate terms are summed and zero coefficients
+        drop; a negative exponent raises ``ValueError``.  Variables missing
+        from ``variables`` join the table in order of appearance."""
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        acc: dict[Term, Fraction] = {}
+        for exps, coeff in items:
+            pairs = dict(exps)
+            for var, exp in pairs.items():
+                if exp < 0:
+                    raise ValueError(f"negative exponent for {var}")
+            key = tuple(sorted((v, e) for v, e in pairs.items() if e))
             value = Fraction(coeff)
-            if value == 0:
-                continue
-            cleaned[mono] = value
-            for v in mono.variables():
-                if v not in table:
-                    table = table + (v,)
-        self._vars = table
-        self._terms = cleaned
+            acc[key] = acc[key] + value if key in acc else value
+        self._terms = {key: coeff for key, coeff in acc.items() if coeff}
+        table = tuple(variables)
+        added = dict.fromkeys(v for key in self._terms for v, _ in key if v not in table)
+        self._vars = table + tuple(added)
 
     @classmethod
-    def _canonical(cls, terms: dict[Monomial, Fraction], table: tuple[str, ...]) -> "Polynomial":
-        """Wrap ``terms`` whose coefficients are already ``Fraction`` values
-        and whose variables all appear in ``table``; only zeros are dropped.
-        Arithmetic on existing polynomials keeps both conditions, so it
-        skips the validation of the public constructor."""
+    def _canonical(cls, terms: dict[Term, Fraction], table: tuple[str, ...]) -> "Polynomial":
+        """Wrap ``terms`` whose keys are canonical, whose coefficients are
+        already ``Fraction`` values and whose variables all appear in
+        ``table``; only zeros are dropped.  Arithmetic on existing
+        polynomials keeps these conditions, so it skips the validation of
+        the public constructor."""
         poly = object.__new__(cls)
         poly._vars = table
-        poly._terms = {mono: coeff for mono, coeff in terms.items() if coeff}
+        poly._terms = {key: coeff for key, coeff in terms.items() if coeff}
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -122,24 +115,19 @@ class Polynomial:
 
     @staticmethod
     def constant(value: ScalarLike, variables: Iterable[str] = ()) -> "Polynomial":
-        return Polynomial({Monomial(): Fraction(value)}, variables)
+        return Polynomial({(): value}, variables)
 
     @staticmethod
     def variable(name: str, variables: Iterable[str] = ()) -> "Polynomial":
-        return Polynomial({Monomial.of({name: 1}): Fraction(1)}, variables)
+        return Polynomial({((name, 1),): 1}, variables)
 
     @staticmethod
     def from_terms(
-        terms: Mapping[Mapping[str, int], ScalarLike] | Iterable[tuple[Mapping[str, int], ScalarLike]],
+        terms: Mapping[TermLike, ScalarLike] | Iterable[tuple[TermLike, ScalarLike]],
         variables: Iterable[str] = (),
     ) -> "Polynomial":
-        """Build a polynomial from ``{ {var: exp, ...}: coefficient }`` data."""
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Monomial, Fraction] = {}
-        for exps, coeff in items:
-            mono = Monomial.of(exps)
-            acc[mono] = acc.get(mono, Fraction(0)) + Fraction(coeff)
-        return Polynomial(acc, variables)
+        """The public constructor under its older name."""
+        return Polynomial(terms, variables)
 
     # -- basic queries -----------------------------------------------------
 
@@ -149,31 +137,31 @@ class Polynomial:
 
     def variables(self) -> tuple[str, ...]:
         """Variables that actually occur, in table order."""
-        occurring = {v for mono in self._terms for v, _ in mono.exps}
+        occurring = {v for key in self._terms for v, _ in key}
         return tuple(v for v in self._vars if v in occurring)
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return all(mono.degree() == 0 for mono in self._terms)
+        return all(not key for key in self._terms)
 
     def constant_value(self) -> Fraction:
         """Value of a constant polynomial (the zero polynomial gives 0)."""
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms.get(Monomial(), Fraction(0))
+        return self._terms.get((), Fraction(0))
 
-    def ordered_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def ordered_terms(self) -> list[tuple[Term, Fraction]]:
         """Terms in canonical order: graded lexicographic over name-sorted
         variables, so the ordering survives printing and reparsing."""
-        order = sorted({v for mono in self._terms for v in mono.variables()})
+        order = sorted({v for key in self._terms for v, _ in key})
 
-        def key(item: tuple[Monomial, Fraction]):
-            mono = item[0]
-            return (-mono.degree(), tuple(-mono.exponent(v) for v in order))
+        def grlex(item: tuple[Term, Fraction]):
+            exps = dict(item[0])
+            return (-sum(exps.values()), tuple(-exps.get(v, 0) for v in order))
 
-        return sorted(self._terms.items(), key=key)
+        return sorted(self._terms.items(), key=grlex)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -189,8 +177,8 @@ class Polynomial:
         if rhs is None:
             return NotImplemented
         acc = dict(self._terms)
-        for mono, coeff in rhs._terms.items():
-            acc[mono] = acc[mono] + coeff if mono in acc else coeff
+        for key, coeff in rhs._terms.items():
+            acc[key] = acc[key] + coeff if key in acc else coeff
         return Polynomial._canonical(acc, _merge_tables(self._vars, rhs._vars))
 
     __radd__ = __add__
@@ -214,11 +202,11 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in rhs._terms.items():
-                mono = m1 * m2
-                acc[mono] = acc[mono] + c1 * c2 if mono in acc else c1 * c2
+        acc: dict[Term, Fraction] = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in rhs._terms.items():
+                key = _key_product(k1, k2)
+                acc[key] = acc[key] + c1 * c2 if key in acc else c1 * c2
         return Polynomial._canonical(acc, _merge_tables(self._vars, rhs._vars))
 
     __rmul__ = __mul__
@@ -257,12 +245,12 @@ class Polynomial:
         values once.
         """
         total = Fraction(0)
-        for mono, coeff in self._terms.items():
-            for var, _ in mono.exps:
+        for key, coeff in self._terms.items():
+            for var, _ in key:
                 if var not in point:
                     raise MissingAssignmentError(var)
             product = 1
-            for var, exp in mono.exps:
+            for var, exp in key:
                 value = point[var]
                 if not value:
                     break
@@ -278,26 +266,16 @@ class Polynomial:
             for var, rep in replacements.items()
         }
         result = Polynomial.zero(self._vars)
-        for mono, coeff in self._terms.items():
+        for key, coeff in self._terms.items():
             term = Polynomial.constant(coeff)
-            for var, exp in mono.exps:
+            for var, exp in key:
                 factor = subs.get(var, Polynomial.variable(var)) ** exp
                 term = term * factor
             result = result + term
         return result
 
     def partial_derivative(self, var: str) -> "Polynomial":
-        acc: dict[Monomial, Fraction] = {}
-        for mono, coeff in self._terms.items():
-            exp = mono.exponent(var)
-            if exp == 0:
-                continue
-            lowered = dict(mono.exps)
-            lowered[var] = exp - 1
-            new_mono = Monomial.of(lowered)
-            term = coeff * exp
-            acc[new_mono] = acc[new_mono] + term if new_mono in acc else term
-        return Polynomial._canonical(acc, self._vars)
+        return self.derivation({var: 1})
 
     def derivation(self, images: Mapping[str, str | int]) -> "Polynomial":
         """Sum of ``dP/dx * image(x)`` over the variables x in ``images``.
@@ -306,29 +284,28 @@ class Polynomial:
         ``c*m`` contributes ``c*e*(m/x)*image`` for each mapped variable x of
         exponent e, all in one walk over the terms.
         """
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Term, Fraction] = {}
         mapped: set[str] = set()
-        for mono, coeff in self._terms.items():
-            for var, exp in mono.exps:
+        for key, coeff in self._terms.items():
+            for index, (var, exp) in enumerate(key):
                 image = images.get(var)
                 if image is None:
                     continue
                 mapped.add(var)
-                lowered = dict(mono.exps)
-                if exp == 1:
-                    del lowered[var]
+                if exp > 1:
+                    lowered = key[:index] + ((var, exp - 1),) + key[index + 1:]
                 else:
-                    lowered[var] = exp - 1
+                    lowered = key[:index] + key[index + 1:]
                 if image != 1:
-                    lowered[image] = lowered.get(image, 0) + 1
-                new_mono = Monomial(tuple(sorted(lowered.items())))
+                    lowered = _key_product(lowered, ((image, 1),))
                 term = coeff * exp if exp > 1 else coeff
-                acc[new_mono] = acc[new_mono] + term if new_mono in acc else term
+                acc[lowered] = acc[lowered] + term if lowered in acc else term
         # new image names join the table in the order of their sources
+        known = set(self._vars)
         added = tuple(
             dict.fromkeys(
                 images[v] for v in self._vars
-                if v in mapped and images[v] != 1 and images[v] not in self._vars
+                if v in mapped and images[v] != 1 and images[v] not in known
             )
         )
         return Polynomial._canonical(acc, self._vars + added)
@@ -341,11 +318,11 @@ class Polynomial:
         twice) has every first partial zero there and adds nothing.
         """
         grad: dict[str, Fraction] = {}
-        for mono, coeff in self._terms.items():
+        for key, coeff in self._terms.items():
             product = coeff
             zeros = 0
             zero_var = ""
-            for var, exp in mono.exps:
+            for var, exp in key:
                 if var not in point:
                     raise MissingAssignmentError(var)
                 x = point[var]
@@ -355,7 +332,7 @@ class Polynomial:
                     zeros += exp
                     zero_var = var
             if zeros == 0:
-                for var, exp in mono.exps:
+                for var, exp in key:
                     term = product * exp / point[var]
                     grad[var] = grad[var] + term if var in grad else term
             elif zeros == 1:
@@ -364,15 +341,15 @@ class Polynomial:
 
     def degree_in(self, var: str) -> int:
         """Max exponent of ``var``; the zero polynomial reports -1."""
-        return max((mono.exponent(var) for mono in self._terms), default=-1)
+        return max((_exponent(key, var) for key in self._terms), default=-1)
 
     def coefficient_in(self, var: str, power: int) -> "Polynomial":
         """The coefficient of ``var ** power``, free of ``var``."""
-        acc: dict[Monomial, Fraction] = {}
-        for mono, coeff in self._terms.items():
-            if mono.exponent(var) == power:
-                acc[mono.without(var)] = coeff
-        return Polynomial(acc, tuple(v for v in self._vars if v != var))
+        acc: dict[Term, Fraction] = {}
+        for key, coeff in self._terms.items():
+            if _exponent(key, var) == power:
+                acc[tuple(pair for pair in key if pair[0] != var)] = coeff
+        return Polynomial._canonical(acc, tuple(v for v in self._vars if v != var))
 
     def coefficients_in(self, var: str) -> list["Polynomial"]:
         """All coefficients ``[A_0, ..., A_d]`` with ``self == sum A_i * var**i``.
@@ -386,16 +363,16 @@ class Polynomial:
 
     def rename_variables(self, mapping: Mapping[str, str]) -> "Polynomial":
         """Rename variables; exponents merge when two names collide."""
-        acc: dict[Monomial, Fraction] = {}
-        for mono, coeff in self._terms.items():
+        acc: dict[Term, Fraction] = {}
+        for key, coeff in self._terms.items():
             exps: dict[str, int] = {}
-            for var, exp in mono.exps:
+            for var, exp in key:
                 name = mapping.get(var, var)
                 exps[name] = exps.get(name, 0) + exp
-            renamed = Monomial.of(exps)
-            acc[renamed] = acc.get(renamed, Fraction(0)) + coeff
+            renamed = tuple(sorted(exps.items()))
+            acc[renamed] = acc[renamed] + coeff if renamed in acc else coeff
         table = tuple(dict.fromkeys(mapping.get(v, v) for v in self._vars))
-        return Polynomial(acc, table)
+        return Polynomial._canonical(acc, table)
 
     # -- printing ----------------------------------------------------------
 
@@ -403,22 +380,16 @@ class Polynomial:
         if not self._terms:
             return "0"
         pieces: list[str] = []
-        for index, (mono, coeff) in enumerate(self.ordered_terms()):
-            body = self._term_body(mono, abs(coeff))
+        for index, (key, coeff) in enumerate(self.ordered_terms()):
+            body = self._term_body(key, abs(coeff))
             if index == 0:
                 pieces.append(body if coeff > 0 else "-" + body)
             else:
                 pieces.append((" + " if coeff > 0 else " - ") + body)
         return "".join(pieces)
 
-    def _term_body(self, mono: Monomial, coeff: Fraction) -> str:
-        factors = []
-        for var in sorted(mono.variables()):
-            exp = mono.exponent(var)
-            if exp == 1:
-                factors.append(var)
-            elif exp > 1:
-                factors.append(f"{var}^{exp}")
+    def _term_body(self, key: Term, coeff: Fraction) -> str:
+        factors = [var if exp == 1 else f"{var}^{exp}" for var, exp in key]
         if not factors:
             return str(coeff)
         if coeff != 1:

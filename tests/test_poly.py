@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from overdet.errors import MissingAssignmentError, PolynomialParseError
-from overdet.poly import Monomial, Polynomial, parse_polynomial
+from overdet.poly import Polynomial, parse_polynomial
 
 P = parse_polynomial
 
@@ -93,9 +93,23 @@ def test_equality_ignores_table_order():
     assert f == g and hash(f) == hash(g)
 
 
-def test_monomial_normalization():
-    assert Monomial.of({"x": 0, "y": 2}) == Monomial.of({"y": 2})
-    assert Monomial.of({"y": 2}).degree() == 2
+def test_constructor_canonicalises_terms():
+    # unsorted pairs and a {var: exp} mapping give the same key
+    assert Polynomial({(("y", 1), ("x", 1)): 1}) == P("x*y")
+    assert Polynomial([({"y": 1, "x": 1}, 1)]) == P("x*y")
+    # zero exponents drop
+    assert Polynomial({(("x", 0), ("y", 2)): 3}) == P("3*y^2")
+    assert Polynomial({(("x", 0),): 5}).is_constant()
+    # duplicate monomials are summed, and vanish when they cancel
+    f = Polynomial([((("x", 1), ("y", 2)), 2), ({"y": 2, "x": 1}, 3), ({"x": 1}, 1)])
+    assert f == P("5*x*y^2 + x")
+    g = Polynomial([((("x", 1), ("y", 2)), 2), ({"y": 2, "x": 1}, -2)], ("x", "y"))
+    assert g.is_zero() and g.variable_table == ("x", "y")
+    assert Polynomial([({"z": 1}, 1), ({"z": 1}, -1)]).variable_table == ()
+    with pytest.raises(ValueError):
+        Polynomial({(("x", -1),): 1})
+    with pytest.raises(ValueError):
+        Polynomial.from_terms([({"x": 2, "y": -1}, 1)])
 
 
 # -- text syntax -------------------------------------------------------------
@@ -286,7 +300,7 @@ def _per_factor_evaluate(f, point):
     total = Fraction(0)
     for mono, coeff in f.ordered_terms():
         value = coeff
-        for var, exp in mono.exps:
+        for var, exp in mono:
             if var not in point:
                 raise MissingAssignmentError(var)
             value *= Fraction(point[var]) ** exp
@@ -320,7 +334,10 @@ def test_evaluate_missing_assignment_in_vanishing_term():
 def _assert_canonical(result):
     terms = dict(result.ordered_terms())
     assert all(type(coeff) is Fraction and coeff != 0 for coeff in terms.values())
-    assert all(v in result.variable_table for mono in terms for v in mono.variables())
+    assert all(v in result.variable_table for mono in terms for v, _ in mono)
+    # the invariant of a term key: name-sorted pairs with positive exponents
+    assert all(list(mono) == sorted(mono) and all(type(e) is int and e > 0 for _, e in mono)
+               and len({v for v, _ in mono}) == len(mono) for mono in terms)
     rebuilt = Polynomial(terms, result.variable_table)
     assert rebuilt == result
     assert rebuilt.variable_table == result.variable_table
