@@ -17,9 +17,11 @@ variable, so a degree below 0 means "zero polynomial" and below 1 means
 
 from __future__ import annotations
 
+import heapq
 import re
 from functools import reduce
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import MissingAssignmentError, PolynomialParseError
@@ -234,6 +236,76 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
+    def exact_quotient(self, divisor: "Polynomial") -> "Polynomial":
+        """The polynomial q with ``q * divisor == self``.
+
+        Division walks leading terms in lexicographic order over the
+        name-sorted variables.  The remainder is kept as exponent vectors
+        with a heap of its terms, so each step pops its leading term instead
+        of rescanning.  Raises ``ValueError`` when ``divisor`` does not
+        divide exactly and ``ZeroDivisionError`` when it is zero.
+        """
+        if not divisor._terms:
+            raise ZeroDivisionError("polynomial division by zero")
+        names = sorted({v for key in (*self._terms, *divisor._terms) for v, _ in key})
+
+        def vector(key: Term) -> tuple[int, ...]:
+            exps = dict(key)
+            return tuple(exps.get(v, 0) for v in names)
+
+        divisor_terms = sorted(
+            ((vector(key), coeff) for key, coeff in divisor._terms.items()), reverse=True
+        )
+        (lead, lead_coeff), rest = divisor_terms[0], divisor_terms[1:]
+        remainder = {vector(key): coeff for key, coeff in self._terms.items()}
+        # a max-heap of the remainder's exponent vectors; entries of terms
+        # that cancelled stay behind and are skipped when popped
+        heap = [tuple(-e for e in exps) for exps in remainder]
+        heapq.heapify(heap)
+        quotient: dict[Term, Fraction] = {}
+        while heap:
+            top = tuple(-e for e in heapq.heappop(heap))
+            coeff = remainder.pop(top, None)
+            if coeff is None:
+                continue
+            shift = tuple(a - b for a, b in zip(top, lead))
+            if min(shift, default=0) < 0:
+                raise ValueError("the divisor does not divide exactly")
+            factor = coeff / lead_coeff
+            quotient[tuple((v, e) for v, e in zip(names, shift) if e)] = factor
+            for exps, value in rest:
+                target = tuple(a + b for a, b in zip(shift, exps))
+                if target in remainder:
+                    updated = remainder[target] - factor * value
+                    if updated:
+                        remainder[target] = updated
+                    else:
+                        del remainder[target]
+                else:
+                    remainder[target] = -factor * value
+                    heapq.heappush(heap, tuple(-e for e in target))
+        return Polynomial._canonical(quotient, _merge_tables(self._vars, divisor._vars))
+
+    def primitive_part(self) -> "Polynomial":
+        """Each coefficient divided by the positive rational content, the
+        gcd g of the numerators over the lcm l of the denominators.  The
+        zero set is unchanged.  ``(n/d) / (g/l) = (n//g) * (l//d)`` is an
+        integer, so no quotient needs reducing."""
+        if not self._terms:
+            return self
+        coeffs = self._terms.values()
+        shared = gcd(*(c.numerator for c in coeffs))
+        common = lcm(*(c.denominator for c in coeffs))
+        if shared == 1 and common == 1:
+            return self
+        return Polynomial._canonical(
+            {
+                key: Fraction(coeff.numerator // shared * (common // coeff.denominator))
+                for key, coeff in self._terms.items()
+            },
+            self._vars,
+        )
+
     # -- calculus and structure --------------------------------------------
 
     def evaluate(self, point: Mapping[str, ScalarLike]) -> Fraction:
@@ -352,11 +424,16 @@ class Polynomial:
         return Polynomial._canonical(acc, tuple(v for v in self._vars if v != var))
 
     def coefficients_in(self, var: str) -> list["Polynomial"]:
-        """All coefficients ``[A_0, ..., A_d]`` with ``self == sum A_i * var**i``.
+        """All coefficients ``[A_0, ..., A_d]`` with ``self == sum A_i * var**i``,
+        in one walk over the terms.
 
         Returns an empty list for the zero polynomial.
         """
-        return [self.coefficient_in(var, k) for k in range(self.degree_in(var) + 1)]
+        parts: list[dict[Term, Fraction]] = [{} for _ in range(self.degree_in(var) + 1)]
+        for key, coeff in self._terms.items():
+            parts[_exponent(key, var)][tuple(pair for pair in key if pair[0] != var)] = coeff
+        table = tuple(v for v in self._vars if v != var)
+        return [Polynomial._canonical(part, table) for part in parts]
 
     def leading_coefficient_in(self, var: str) -> "Polynomial":
         return self.coefficient_in(var, self.degree_in(var))

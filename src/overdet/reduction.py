@@ -8,11 +8,15 @@ which is solved directly and checked with a 2x2 consistency determinant.
 
 Multivariate systems are treated one variable at a time: every equation is
 viewed through its coefficients in the chosen variable (polynomials in the
-remaining ones), reduced against a pivot by cross-multiplication so that all
-arithmetic stays in the polynomial ring, and the terminal linear pivot gives
-the variable as a ratio of coefficient polynomials.  Every cleared leading
-coefficient is asserted nonzero and recorded as a side condition; results
-are complete only on the locus where all recorded conditions hold.
+remaining ones) and reduced against a pivot by pseudo-remainders, so that
+all arithmetic stays in the polynomial ring.  Factors known to divide are
+divided out exactly, as in a subresultant remainder sequence (Collins 1967;
+Brown & Traub 1971).  The last pivot gives the variable at each solution of
+the rest: directly when it is linear, by its rational roots otherwise.
+Every pivot leading coefficient is asserted nonzero and recorded as a side
+condition; results are complete only on the locus where all recorded
+conditions hold.  Nonzero constant conditions hold everywhere and are left
+out of outcomes.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .errors import (
     AllDegreeZeroError,
     DegreeMismatchError,
     NotUnivariateError,
-    PivotDegenerateError,
     SystemShapeError,
     ZeroLeadingCoefficientError,
 )
@@ -77,7 +80,12 @@ class ReductionOutcome:
 
 
 def _merge_condition(conditions: list[SideCondition], new: SideCondition) -> None:
-    if all(existing.polynomial != new.polynomial for existing in conditions):
+    """Record a condition once; a nonzero constant holds everywhere and says
+    nothing, so it is left out (an identically zero one is kept)."""
+    poly = new.polynomial
+    if poly.is_constant() and not poly.is_zero():
+        return
+    if all(existing.polynomial != poly for existing in conditions):
         conditions.append(new)
 
 
@@ -233,13 +241,13 @@ def reduce_chain(f: Polynomial, g: Polynomial, var: str) -> ReductionOutcome:
             c_degree = c.degree_in(var)
             if c_degree == deg_f - 1:
                 # working pair continues scaled to primitive form (same roots)
-                current_f, current_g = _primitive_part(c), _primitive_part(d)
+                current_f, current_g = c.primitive_part(), d.primitive_part()
                 continue
             if c_degree == 0:
                 trace.append(ReductionStep(INCONSISTENCY, (c,), (c,)))
                 return ReductionOutcome(INCONSISTENT, trace=trace, conditions=conditions)
             # c lost more than one degree: keep f and continue with {f, c}
-            current_g = _primitive_part(c)
+            current_g = c.primitive_part()
             continue
         # unequal degrees: raise g to degree n-1 by multiplication, then
         # absorb one more multiplication through f
@@ -251,7 +259,7 @@ def reduce_chain(f: Polynomial, g: Polynomial, var: str) -> ReductionOutcome:
         c_top = c.coefficient_in(var, deg_f - 1)
         d = c * x - current_f * c_top * (Fraction(1) / lead_f)
         trace.append(ReductionStep(ABSORB_MULTIPLY, (current_f, current_g), (c, d)))
-        current_f, current_g = c, _primitive_part(d)
+        current_f, current_g = c, d.primitive_part()
 
 
 # -- rational roots of a univariate survivor ---------------------------------
@@ -308,25 +316,6 @@ def _rational_roots(poly: Polynomial, var: str) -> list[Fraction] | None:
     return sorted(roots)
 
 
-def _primitive_part(poly: Polynomial) -> Polynomial:
-    """Divide out the positive rational content; the zero set is unchanged.
-
-    Keeps coefficient growth under control across chained cross-multiplied
-    reductions; a pure function of its input, so recorded steps stay
-    reproducible.
-    """
-    if poly.is_zero():
-        return poly
-    coefficients = [coeff for _, coeff in poly.ordered_terms()]
-    content = Fraction(
-        gcd(*(coeff.numerator for coeff in coefficients)),
-        lcm(*(coeff.denominator for coeff in coefficients)),
-    )
-    if content == 1:
-        return poly
-    return poly * (Fraction(1) / content)
-
-
 def _split_off_roots(
     poly: Polynomial, var: str, roots: Sequence[Fraction]
 ) -> Polynomial:
@@ -355,97 +344,113 @@ def _split_off_roots(
 # -- elimination of one variable ---------------------------------------------
 
 
+def _pseudo_remainder(dividend: Polynomial, divisor: Polynomial, var: str) -> Polynomial:
+    """``prem(dividend, divisor)`` in ``var``: the remainder of
+    ``lc(divisor)**(gap + 1) * dividend`` modulo ``divisor``, where gap is the
+    degree gap.  Each power of ``var`` cleared from the top multiplies by the
+    leading coefficient once, whether or not its coefficient was zero."""
+    remainder = dividend.coefficients_in(var)
+    *low, lead = divisor.coefficients_in(var)
+    while len(remainder) > len(low):
+        top = remainder.pop()
+        shift = len(remainder) - len(low)
+        remainder = [coeff * lead for coeff in remainder]
+        if not top.is_zero():
+            for power, coeff in enumerate(low, shift):
+                remainder[power] = remainder[power] - top * coeff
+    x = Polynomial.variable(var)
+    result = Polynomial.zero()
+    for power, coeff in enumerate(remainder):
+        if not coeff.is_zero():
+            result = result + coeff * x ** power
+    return result
+
+
+@dataclass(frozen=True)
+class _Remainder:
+    """How an equation was last made: as ``prem(dividend, pivot)`` with the
+    dividend ``gap`` degrees above the pivot, and with ``psi`` the
+    subresultant factor of that step (Brown & Traub 1971)."""
+
+    pivot: Polynomial
+    gap: int
+    psi: Polynomial
+
+
 @dataclass
 class _EliminationResult:
     reduced: list[Polynomial]
     conditions: list[SideCondition]
     steps: list[ReductionStep]
-    lin_coeff: Polynomial  # coefficient of the variable in the terminal pivot
-    lin_const: Polynomial  # remaining part of the terminal pivot
-    duplicates_only: bool  # every non-pivot equation collapsed via constants
+    pivot: Polynomial  # the one equation left carrying the variable
+    duplicates_only: bool  # every reduced equation was a constant multiple of its pivot
 
 
 def _eliminate(system: Sequence[Polynomial], var: str) -> _EliminationResult:
+    """Reduce every equation but one to be free of ``var``.
+
+    The pivot is the equation of least positive degree; every other
+    equation of at least its degree is replaced by its pseudo-remainder.
+    When the pivot is itself ``prem(E, P)`` and ``P`` is reduced against it,
+    the step continues a subresultant remainder sequence, and the known
+    factor, whose zeros are zeros of ``lc(P)``, is divided out exactly.
+    Each pivot's leading coefficient is recorded as a side condition, and
+    the divided remainders stay in the ideal of the input, so solutions
+    stay complete where the recorded conditions hold.
+    """
     equations = list(system)
-    degrees = [e.degree_in(var) for e in equations]
-    if all(d < 1 for d in degrees):
+    if all(e.degree_in(var) < 1 for e in equations):
         raise AllDegreeZeroError(f"no equation involves {var}")
+    made: list[_Remainder | None] = [None] * len(equations)
     conditions: list[SideCondition] = []
     steps: list[ReductionStep] = []
-    x = Polynomial.variable(var)
     duplicates_only = True
     while True:
         degrees = [e.degree_in(var) for e in equations]
         positive = [i for i, d in enumerate(degrees) if d >= 1]
-        if not positive:
-            raise PivotDegenerateError(
-                f"{var} vanished from every equation during elimination"
-            )
         pivot_index = min(positive, key=lambda i: (degrees[i], i))
         pivot = equations[pivot_index]
         pivot_degree = degrees[pivot_index]
-        pivot_lead = pivot.coefficient_in(var, pivot_degree)
-        if pivot_lead.is_zero():
-            raise PivotDegenerateError("pivot has identically zero leading coefficient")
         higher = [i for i in positive if i != pivot_index and degrees[i] >= pivot_degree]
-        if higher:
-            for index in higher:
-                reduced = equations[index]
-                while True:
-                    degree = reduced.degree_in(var)
-                    if degree < pivot_degree:
-                        break
-                    lead = reduced.coefficient_in(var, degree)
-                    shift = x ** (degree - pivot_degree)
-                    combination = _primitive_part(
-                        reduced * pivot_lead - pivot * lead * shift
-                    )
-                    cond = SideCondition(pivot_lead)
-                    steps.append(
-                        ReductionStep(
-                            PAIR_REDUCE, (reduced, pivot), (combination,), (cond,)
-                        )
-                    )
-                    _merge_condition(conditions, cond)
-                    if not (lead.is_constant() and pivot_lead.is_constant()):
-                        duplicates_only = False
-                    reduced = combination
-                equations[index] = reduced
-                if not reduced.is_zero():
-                    duplicates_only = False
-            continue
-        if pivot_degree == 1:
+        if not higher:
             break
-        # the pivot alone still carries the variable: lower its degree by
-        # multiplying a nonzero mate up and absorbing the top power
-        mates = [
-            i for i, e in enumerate(equations) if i != pivot_index and not e.is_zero()
-        ]
-        if not mates:
-            raise PivotDegenerateError(
-                f"no independent equation remains to lower the degree of the pivot in {var}"
-            )
-        mate_index = mates[0]
-        mate = equations[mate_index]
-        raised = mate * x ** (pivot_degree - mate.degree_in(var))
-        raised_lead = raised.coefficient_in(var, pivot_degree)
-        combination = _primitive_part(pivot * raised_lead - raised * pivot_lead)
-        cond = SideCondition(raised_lead)
-        steps.append(
-            ReductionStep(ABSORB_MULTIPLY, (pivot, mate), (combination,), (cond,))
-        )
+        pivot_lead = pivot.coefficient_in(var, pivot_degree)
+        cond = SideCondition(pivot_lead)
         _merge_condition(conditions, cond)
-        duplicates_only = False
-        equations[pivot_index] = combination
-    reduced_system = [e for i, e in enumerate(equations) if i != pivot_index]
-    lin_coeff = equations[pivot_index].coefficient_in(var, 1)
-    lin_const = equations[pivot_index].coefficient_in(var, 0)
+        history = made[pivot_index]
+        for index in higher:
+            dividend = equations[index]
+            gap = degrees[index] - pivot_degree
+            lead = dividend.coefficient_in(var, degrees[index])
+            remainder = _pseudo_remainder(dividend, pivot, var)
+            if history is not None and dividend is history.pivot:
+                # psi = (-lead)**d / psi_prev**(d - 1) for the previous gap d
+                if history.gap == 0:
+                    psi = history.psi
+                else:
+                    psi = ((-lead) ** history.gap).exact_quotient(
+                        history.psi ** (history.gap - 1)
+                    )
+                divisor = -lead * psi ** gap
+                remainder = remainder.exact_quotient(divisor)
+                inputs = (dividend, pivot, divisor)
+            else:
+                psi = Polynomial.constant(-1)
+                inputs = (dividend, pivot)
+            remainder = remainder.primitive_part()
+            steps.append(ReductionStep(PAIR_REDUCE, inputs, (remainder,), (cond,)))
+            equations[index] = remainder
+            made[index] = _Remainder(pivot, gap, psi)
+            if not (
+                remainder.is_zero() and gap == 0
+                and lead.is_constant() and pivot_lead.is_constant()
+            ):
+                duplicates_only = False
     return _EliminationResult(
-        reduced=reduced_system,
+        reduced=[e for i, e in enumerate(equations) if i != pivot_index],
         conditions=conditions,
         steps=steps,
-        lin_coeff=lin_coeff,
-        lin_const=lin_const,
+        pivot=pivot,
         duplicates_only=duplicates_only,
     )
 
@@ -534,11 +539,11 @@ def _solve_recursive(
     if inner.status == INCONSISTENT:
         return ReductionOutcome(INCONSISTENT, trace=trace, conditions=conditions)
 
-    pivot_relation = elimination.lin_coeff * Polynomial.variable(var) + elimination.lin_const
+    pivot = elimination.pivot
     if inner.status in (RESIDUAL, DEGENERATE):
         status = DEGENERATE if inner.status == DEGENERATE and elimination.duplicates_only else RESIDUAL
-        residual = list(inner.residual_system) + [pivot_relation]
-        trace.append(ReductionStep(RESIDUAL_STEP, (pivot_relation,), (pivot_relation,)))
+        residual = list(inner.residual_system) + [pivot]
+        trace.append(ReductionStep(RESIDUAL_STEP, (pivot,), (pivot,)))
         return ReductionOutcome(
             status,
             solutions=[],
@@ -547,26 +552,39 @@ def _solve_recursive(
             conditions=conditions,
         )
 
+    coefficients = pivot.coefficients_in(var)
     solutions: list[dict[str, Fraction]] = []
+    unresolved = False
     for point in inner.solutions:
-        denominator = elimination.lin_coeff.evaluate(point)
-        if denominator == 0:
-            trace.append(
-                ReductionStep(
-                    BRANCH_SKIPPED,
-                    (elimination.lin_coeff,),
-                    (),
-                    (SideCondition(elimination.lin_coeff),),
-                )
-            )
+        values = [coeff.evaluate(point) for coeff in coefficients]
+        while values and values[-1] == 0:
+            values.pop()
+        if len(values) < 2:
+            # the pivot is free of the variable at this point
+            lead = coefficients[-1]
+            trace.append(ReductionStep(BRANCH_SKIPPED, (lead,), (), (SideCondition(lead),)))
             continue
-        value = -elimination.lin_const.evaluate(point) / denominator
-        candidate = dict(point)
-        candidate[var] = value
-        if not _verified(system, candidate):
-            trace.append(ReductionStep(BRANCH_SKIPPED, tuple(system), ()))
+        if len(values) == 2:
+            roots: list[Fraction] | None = [-values[0] / values[1]]
+        else:
+            substituted = Polynomial({((var, k),): v for k, v in enumerate(values)})
+            roots = _rational_roots(substituted, var)
+        if roots is None:
+            # too large to enumerate: the pivot stays as a residual
+            trace.append(ReductionStep(RESIDUAL_STEP, (pivot,), (pivot,)))
+            unresolved = True
             continue
-        solutions.append(candidate)
+        for root in roots:
+            candidate = dict(point)
+            candidate[var] = root
+            if not _verified(system, candidate):
+                trace.append(ReductionStep(BRANCH_SKIPPED, tuple(system), ()))
+                continue
+            solutions.append(candidate)
+    if unresolved:
+        return ReductionOutcome(
+            RESIDUAL, solutions, residual_system=[pivot], trace=trace, conditions=conditions
+        )
     if not solutions:
         return ReductionOutcome(INCONSISTENT, trace=trace, conditions=conditions)
     return ReductionOutcome(SOLVED, solutions, trace=trace, conditions=conditions)

@@ -53,10 +53,11 @@ def test_criterion_01_quadratic_golden_case():
         # the linear terminal's consistency determinant is exactly zero
         terminal = [s for s in outcome.trace if s.kind == "linear-solve"][-1]
         assert terminal.outputs[0] == Polynomial.zero()
-        # the recorded leading-coefficient condition is satisfied with value -1
-        recorded = [c.polynomial for c in outcome.conditions]
-        assert Polynomial.constant(-1) in recorded
-        assert all(not c.is_identically_violated() for c in outcome.conditions)
+        # the pair step records its top-coefficient condition, -1; a nonzero
+        # constant says nothing, so the outcome leaves it out
+        reduce_step = [s for s in outcome.trace if s.kind == "pair-reduce"][0]
+        assert Polynomial.constant(-1) in [c.polynomial for c in reduce_step.conditions]
+        assert outcome.conditions == []
 
 
 def test_criterion_02_equivalence_theorem_property():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -357,3 +358,75 @@ def test_arithmetic_results_are_canonical():
                        f.partial_derivative(var), f.derivation(images),
                        f.derivation({"u": "new"}), (f * g - f).derivation(images)):
             _assert_canonical(result)
+
+
+# -- exact division and primitive part -----------------------------------------
+
+
+def test_exact_quotient_recovers_the_cofactor():
+    rng = random.Random(97)
+    names = ["u", "v", "w"]
+    divided = 0
+    for _ in range(300):
+        a = _random_poly(rng, names, terms=rng.randint(0, 6))
+        b = _random_poly(rng, names, terms=rng.randint(1, 5))
+        if b.is_zero():
+            continue
+        quotient = (a * b).exact_quotient(b)
+        assert quotient == a
+        _assert_canonical(quotient)
+        divided += 1
+    assert divided > 250
+
+
+def test_exact_quotient_rejects_non_multiples():
+    rng = random.Random(101)
+    names = ["u", "v", "w"]
+    rejected = 0
+    for _ in range(200):
+        a = _random_poly(rng, names, terms=rng.randint(1, 5))
+        b = _random_poly(rng, names, terms=rng.randint(2, 4))
+        if len(b.ordered_terms()) < 2:
+            continue
+        # a nonzero constant is a remainder no multiple of b leaves
+        with pytest.raises(ValueError):
+            (a * b + 1).exact_quotient(b)
+        rejected += 1
+    assert rejected > 150
+    with pytest.raises(ValueError):
+        P("x^2 + 1").exact_quotient(P("x + 1"))
+    with pytest.raises(ValueError):
+        P("x*y").exact_quotient(P("z"))
+    with pytest.raises(ValueError):
+        P("x").exact_quotient(P("x^2"))
+
+
+def test_exact_quotient_zero_and_constants():
+    assert Polynomial.zero().exact_quotient(P("x + y")) == Polynomial.zero()
+    assert P("2*x + 4*y").exact_quotient(Polynomial.constant(2)) == P("x + 2*y")
+    assert P("x^2 - y^2").exact_quotient(P("x - y")) == P("x + y")
+    assert P("6").exact_quotient(P("4")) == Polynomial.constant(Fraction(3, 2))
+    with pytest.raises(ZeroDivisionError):
+        P("x + 1").exact_quotient(Polynomial.zero())
+    with pytest.raises(ZeroDivisionError):
+        Polynomial.zero().exact_quotient(Polynomial.zero())
+
+
+def test_primitive_part_divides_by_positive_content():
+    assert P("6*x^2 - 4*y + 2").primitive_part() == P("3*x^2 - 2*y + 1")
+    assert P("-1/2*x + 3/4").primitive_part() == P("-2*x + 3")
+    assert P("x + 1").primitive_part() == P("x + 1")
+    assert Polynomial.zero().primitive_part().is_zero()
+    rng = random.Random(103)
+    for _ in range(100):
+        f = _random_poly(rng, ["u", "v"], terms=rng.randint(1, 5))
+        part = f.primitive_part()
+        _assert_canonical(part)
+        if f.is_zero():
+            continue
+        coeffs = [c for _, c in part.ordered_terms()]
+        assert all(c.denominator == 1 for c in coeffs)
+        assert gcd(*(c.numerator for c in coeffs)) == 1
+        # a positive rational multiple of f
+        ratio = coeffs[0] / f.ordered_terms()[0][1]
+        assert ratio > 0 and part == f * ratio

@@ -1,5 +1,6 @@
 """Degree-lowering reduction: pair step, chain, elimination, full solve."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from overdet.errors import (
 from overdet.oracle import gcd_univariate
 from overdet.poly import Polynomial, parse_polynomial
 from overdet.reduction import (
+    _eliminate,
     eliminate_variable,
     reduce_chain,
     reduce_pair,
@@ -111,8 +113,11 @@ def test_chain_quadratic_golden():
     # terminal consistency determinant is exactly zero
     terminal = [s for s in outcome.trace if s.kind == "linear-solve"][-1]
     assert terminal.outputs[0] == Polynomial.zero()
-    # the recorded top-coefficient condition held with value -1
-    assert Polynomial.constant(-1) in [c.polynomial for c in outcome.conditions]
+    # the top-coefficient condition held with value -1: recorded in the
+    # step, left out of the outcome as a nonzero constant
+    reduce_step = [s for s in outcome.trace if s.kind == "pair-reduce"][0]
+    assert Polynomial.constant(-1) in [c.polynomial for c in reduce_step.conditions]
+    assert outcome.conditions == []
 
 
 def test_chain_disjoint_quadratics_inconsistent():
@@ -256,7 +261,8 @@ def test_solve_underdetermined_family_is_residual():
     outcome = solve_overdetermined([P("y - 1"), P("y - 1"), P("x*y - x")], ("x", "y"))
     assert outcome.status == "residual"
     assert P("y - 1") in outcome.residual_system
-    assert outcome.conditions  # a clearing condition was recorded
+    # the pivot y - 1 clears through its constant lead 1: nothing to record
+    assert outcome.conditions == []
 
 
 def test_solve_shape_errors():
@@ -291,28 +297,180 @@ def test_solve_verifies_candidates_against_original_system():
         )
 
 
+def _reference_prem(f, g, var):
+    """Pseudo-remainder one leading term at a time, multiplying by lc(g)
+    once per power of ``var`` cleared."""
+    x = Polynomial.variable(var)
+    n = g.degree_in(var)
+    lead = g.coefficient_in(var, n)
+    remainder = f
+    for k in range(f.degree_in(var) - n, -1, -1):
+        top = remainder.coefficient_in(var, n + k)
+        remainder = remainder * lead - g * top * x ** k
+    return remainder
+
+
 def test_trace_steps_are_exact_combinations():
-    """Elimination pair-reduce steps reproduce from inputs and recorded leads."""
-    system = [P("x^2 + y^2 - 5"), P("x*y - 2"), P("x + y - 3")]
-    _, _, steps = eliminate_variable(system, "y")
-    y = Polynomial.variable("y")
-    for step in steps:
-        if step.kind != "pair-reduce":
+    """Each elimination pair-reduce step records (dividend, pivot) or
+    (dividend, pivot, divisor); its output times the divisor is a rational
+    multiple of the pseudo-remainder of dividend by pivot."""
+    three_curves = [P("x^2 + y^2 - 5"), P("x*y - 2"), P("x + y - 3")]
+    chained = [P("x*y^3 + 2*y - x^2"), P("y^2*x + y + 3*x"), P("2*y^3 - x*y + 1")]
+    divided = 0
+    for system in (three_curves, chained):
+        _, _, steps = eliminate_variable(system, "y")
+        for step in steps:
+            if step.kind != "pair-reduce":
+                continue
+            expected = _reference_prem(step.inputs[0], step.inputs[1], "y")
+            recorded = step.outputs[0]
+            if len(step.inputs) == 3:
+                divided += 1
+                recorded = recorded * step.inputs[2]
+            # outputs are stored in primitive form: equal up to a rational scale
+            if expected.is_zero():
+                assert recorded.is_zero()
+            else:
+                ratio = recorded.ordered_terms()[0][1] / expected.ordered_terms()[0][1]
+                assert ratio != 0
+                assert recorded == expected * ratio
+    assert divided > 0
+
+
+def test_lone_pivot_of_degree_two_back_substitutes_its_roots():
+    """When only the pivot carries y, the y-free equations are the reduced
+    system and y comes from the rational roots of the substituted pivot."""
+    first = [P("y^2 + y - 6"), P("x - 1"), P("x^2 - 1")]
+    outcome = solve_overdetermined(first, ("x", "y"))
+    assert outcome.status == "solved"
+    assert outcome.solutions == [
+        {"x": Fraction(1), "y": Fraction(-3)},
+        {"x": Fraction(1), "y": Fraction(2)},
+    ]
+    assert outcome.conditions == []
+    second = [P("y^2 - 4"), P("x - 1"), P("x^2 - 1")]
+    outcome = solve_overdetermined(second, ("x", "y"))
+    assert outcome.status == "solved"
+    assert outcome.solutions == [
+        {"x": Fraction(1), "y": Fraction(-2)},
+        {"x": Fraction(1), "y": Fraction(2)},
+    ]
+    reduced, conditions, _ = eliminate_variable(second, "y")
+    assert reduced == [P("x - 1"), P("x^2 - 1")] and conditions == []
+
+
+def test_lone_pivot_skips_points_where_it_is_free_of_the_variable():
+    # at x = 0 the pivot x*y^2 - x vanishes for every y: the branch is skipped
+    system = [P("x*y^2 - x"), P("x"), P("x^2 + x")]
+    outcome = solve_overdetermined(system, ("x", "y"))
+    assert outcome.status == "inconsistent"
+    assert [s.kind for s in outcome.trace][-1] == "branch-skipped"
+
+
+def test_lone_pivot_too_large_to_enumerate_stays_residual():
+    pivot = P("10000000000000*y^2 - 1")
+    outcome = solve_overdetermined([pivot, P("x - 1"), P("x^2 - 1")], ("x", "y"))
+    assert outcome.status == "residual"
+    assert outcome.solutions == [] and outcome.residual_system == [pivot]
+
+
+# The planted-solve benchmark's labelled 3-variable degree-3 case, whose
+# root is (-3, -3, 1).
+RUNAWAY_3VAR = [
+    "-x^3 + 3*x^2*y - 5*y*z^2 + 39",
+    "-2*y^3 + y^2*z - 4*x*z - 75",
+    "y^3 - 2*y^2*z + 3*z^3 + 42",
+    "-8*x*z^2 + 2*z - 26",
+]
+
+
+def test_eliminating_two_variables_keeps_degrees_near_the_sylvester_bound():
+    """Dividing out known factors keeps the x-degree after eliminating z
+    and y within twice the Sylvester bound of the y-step (5*9 + 3*7 = 66);
+    cross-multiplying alone reached 387."""
+    system = [P(text) for text in RUNAWAY_3VAR]
+    after_z, _, _ = eliminate_variable(system, "z")
+    assert [p.degree_in("x") for p in after_z] == [5, 3, 2]
+    after_y, _, _ = eliminate_variable(after_z, "y")
+    assert max(p.degree_in("x") for p in after_y) <= 132
+    root = {"x": Fraction(-3), "y": Fraction(-3), "z": Fraction(1)}
+    assert all(p.evaluate(root) == 0 for p in after_z + after_y)
+
+
+def _planted_system(rng, names, degree):
+    """len(names)+1 equations sum c*(m - m(root)) over random monomials of
+    total degree <= degree, one of exactly that degree."""
+    root = {v: Fraction(rng.randint(-3, 3)) for v in names}
+    exponents = [
+        e for e in itertools.product(range(degree + 1), repeat=len(names))
+        if 0 < sum(e) <= degree
+    ]
+    top = [e for e in exponents if sum(e) == degree]
+    system = []
+    for _ in range(len(names) + 1):
+        poly = Polynomial.zero(names)
+        for exps in [rng.choice(top)] + rng.sample(exponents, 2):
+            term = Polynomial([(zip(names, exps), 1)], names)
+            poly = poly + (term - term.evaluate(root)) * rng.choice([-5, -3, -1, 1, 2, 4])
+        system.append(poly)
+    return system
+
+
+def _to_sympy(poly, sympy):
+    return sympy.sympify(str(poly).replace("^", "**"))
+
+
+def test_eliminated_polynomials_lie_in_the_input_ideal():
+    """Every polynomial _eliminate returns, divided ones included, reduces
+    to 0 modulo a Groebner basis of its input."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(107)
+    cases = [(("x", "y"), d) for d in (2, 3, 3, 4)] * 4 + [(("x", "y", "z"), 2)] * 6
+    divided = 0
+    for names, degree in cases:
+        system = _planted_system(rng, names, degree)
+        var = names[-1]
+        if all(p.degree_in(var) < 1 for p in system):
             continue
-        reduced, pivot = step.inputs
-        degree = int(reduced.degree_in("y"))
-        pivot_degree = int(pivot.degree_in("y"))
-        lead = reduced.coefficient_in("y", degree)
-        pivot_lead = pivot.coefficient_in("y", pivot_degree)
-        expected = reduced * pivot_lead - pivot * lead * y ** (degree - pivot_degree)
-        # outputs are stored in primitive form: equal up to a rational scale
-        recorded = step.outputs[0]
-        if expected.is_zero():
-            assert recorded.is_zero()
-        else:
-            ratio = recorded.ordered_terms()[0][1] / expected.ordered_terms()[0][1]
-            assert ratio != 0
-            assert recorded == expected * ratio
+        result = _eliminate(system, var)
+        divided += sum(len(step.inputs) == 3 for step in result.steps)
+        symbols = sympy.symbols(names)
+        basis = sympy.groebner([_to_sympy(p, sympy) for p in system], *symbols, order="grevlex")
+        for poly in result.reduced + [result.pivot]:
+            assert basis.reduce(_to_sympy(poly, sympy))[1] == 0, (system, poly)
+    assert divided > 5
+
+
+def test_pair_elimination_ends_at_the_resultant():
+    """For two equations the pivots form a subresultant remainder
+    sequence, which ends at the Sylvester resultant up to a rational
+    factor when every degree gap after the first is 1."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(109)
+    x, y = sympy.symbols("x y")
+    compared = 0
+    for _ in range(12):
+        degrees = sorted((rng.randint(1, 4), rng.randint(1, 4)), reverse=True)
+        pair = []
+        for degree in degrees:
+            poly = Polynomial.zero(("x", "y"))
+            for k in range(degree + 1):
+                coeff = Polynomial.constant(rng.randint(-3, 3)) + P("x") * rng.randint(-2, 2)
+                if k == degree and coeff.is_zero():
+                    coeff = P("x + 1")
+                poly = poly + coeff * P("y") ** k
+            pair.append(poly)
+        result = _eliminate(pair, "y")
+        gaps = [step.inputs[0].degree_in("y") - step.inputs[1].degree_in("y")
+                for step in result.steps]
+        if any(gap != 1 for gap in gaps[1:]) or result.reduced[0].is_zero():
+            continue
+        resultant = sympy.Poly(sympy.resultant(*(_to_sympy(p, sympy) for p in pair), y), x)
+        ours = sympy.Poly(_to_sympy(result.reduced[0], sympy), x)
+        assert ours.degree() == resultant.degree()
+        assert sympy.simplify(ours.as_expr() / resultant.as_expr()).is_Rational
+        compared += 1
+    assert compared >= 6
 
 
 def _random_combination(rng, variables, generators, parts=1):
