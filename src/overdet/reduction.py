@@ -10,9 +10,9 @@ Multivariate systems are treated one variable at a time: every equation is
 viewed through its coefficients in the chosen variable (polynomials in the
 remaining ones) and reduced against a pivot by pseudo-remainders, so that
 all arithmetic stays in the polynomial ring.  Factors known to divide are
-divided out exactly, as in a subresultant remainder sequence (Collins 1967;
-Brown & Traub 1971).  The last pivot gives the variable at each solution of
-the rest: directly when it is linear, by its rational roots otherwise.
+divided out exactly, as in Collins' (1967) reduced remainder sequence.  The
+last pivot gives the variable at each solution of the rest: directly when it
+is linear, by its rational roots otherwise.
 Every pivot leading coefficient is asserted nonzero and recorded as a side
 condition; results are complete only on the locus where all recorded
 conditions hold.  Nonzero constant conditions hold everywhere and are left
@@ -369,12 +369,10 @@ def _pseudo_remainder(dividend: Polynomial, divisor: Polynomial, var: str) -> Po
 @dataclass(frozen=True)
 class _Remainder:
     """How an equation was last made: as ``prem(dividend, pivot)`` with the
-    dividend ``gap`` degrees above the pivot, and with ``psi`` the
-    subresultant factor of that step (Brown & Traub 1971)."""
+    dividend ``gap`` degrees above the pivot."""
 
     pivot: Polynomial
     gap: int
-    psi: Polynomial
 
 
 @dataclass
@@ -392,8 +390,8 @@ def _eliminate(system: Sequence[Polynomial], var: str) -> _EliminationResult:
     The pivot is the equation of least positive degree; every other
     equation of at least its degree is replaced by its pseudo-remainder.
     When the pivot is itself ``prem(E, P)`` and ``P`` is reduced against it,
-    the step continues a subresultant remainder sequence, and the known
-    factor, whose zeros are zeros of ``lc(P)``, is divided out exactly.
+    the step continues a reduced remainder sequence, and the known factor,
+    a power of ``lc(P)``, is divided out exactly.
     Each pivot's leading coefficient is recorded as a side condition, and
     the divided remainders stay in the ideal of the input, so solutions
     stay complete where the recorded conditions hold.
@@ -424,26 +422,19 @@ def _eliminate(system: Sequence[Polynomial], var: str) -> _EliminationResult:
             lead = dividend.coefficient_in(var, degrees[index])
             remainder = _pseudo_remainder(dividend, pivot, var)
             if history is not None and dividend is history.pivot:
-                # psi = (-lead)**d / psi_prev**(d - 1) for the previous gap d
-                if history.gap == 0:
-                    psi = history.psi
-                else:
-                    psi = ((-lead) ** history.gap).exact_quotient(
-                        history.psi ** (history.gap - 1)
-                    )
-                divisor = -lead * psi ** gap
+                # reduced PRS: prem(P, prem(E, P)) is divisible by
+                # lc(P)**(d + 1), d the degree gap of E over P (Collins 1967)
+                divisor = lead ** (history.gap + 1)
                 remainder = remainder.exact_quotient(divisor)
                 inputs = (dividend, pivot, divisor)
             else:
-                psi = Polynomial.constant(-1)
                 inputs = (dividend, pivot)
             remainder = remainder.primitive_part()
             steps.append(ReductionStep(PAIR_REDUCE, inputs, (remainder,), (cond,)))
             equations[index] = remainder
-            made[index] = _Remainder(pivot, gap, psi)
+            made[index] = _Remainder(pivot, gap)
             if not (
-                remainder.is_zero() and gap == 0
-                and lead.is_constant() and pivot_lead.is_constant()
+                remainder.is_zero() and lead.is_constant() and pivot_lead.is_constant()
             ):
                 duplicates_only = False
     return _EliminationResult(
@@ -560,21 +551,29 @@ def _solve_recursive(
         while values and values[-1] == 0:
             values.pop()
         if len(values) < 2:
-            # the pivot is free of the variable at this point
+            # the pivot is free of the variable at this point, which lies
+            # where its leading coefficient vanishes
             lead = coefficients[-1]
-            trace.append(ReductionStep(BRANCH_SKIPPED, (lead,), (), (SideCondition(lead),)))
+            cond = SideCondition(lead)
+            trace.append(ReductionStep(BRANCH_SKIPPED, (lead,), (), (cond,)))
+            _merge_condition(conditions, cond)
             continue
         if len(values) == 2:
             roots: list[Fraction] | None = [-values[0] / values[1]]
+            complete = True
         else:
             substituted = Polynomial({((var, k),): v for k, v in enumerate(values)})
             roots = _rational_roots(substituted, var)
-        if roots is None:
-            # too large to enumerate: the pivot stays as a residual
+            complete = (
+                roots is not None
+                and _split_off_roots(substituted, var, roots).degree_in(var) == 0
+            )
+        if not complete:
+            # irrational roots, or too large to enumerate: the pivot stays
+            # as a residual beside the verified rational roots
             trace.append(ReductionStep(RESIDUAL_STEP, (pivot,), (pivot,)))
             unresolved = True
-            continue
-        for root in roots:
+        for root in roots or ():
             candidate = dict(point)
             candidate[var] = root
             if not _verified(system, candidate):

@@ -15,6 +15,7 @@ from overdet.errors import (
 from overdet.oracle import gcd_univariate
 from overdet.poly import Polynomial, parse_polynomial
 from overdet.reduction import (
+    SideCondition,
     _eliminate,
     eliminate_variable,
     reduce_chain,
@@ -257,6 +258,13 @@ def test_solve_duplicate_family_is_degenerate():
     assert P("y - x") in outcome.residual_system
 
 
+def test_solve_duplicates_of_higher_degree_are_degenerate():
+    # y^2 - 1 is (y + 1)*(y - 1), a multiple of the pivot: x stays free
+    outcome = solve_overdetermined([P("y - 1"), P("y - 1"), P("y^2 - 1")], ("x", "y"))
+    assert outcome.status == "degenerate"
+    assert outcome.residual_system == [P("y - 1")]
+
+
 def test_solve_underdetermined_family_is_residual():
     outcome = solve_overdetermined([P("y - 1"), P("y - 1"), P("x*y - x")], ("x", "y"))
     assert outcome.status == "residual"
@@ -359,12 +367,27 @@ def test_lone_pivot_of_degree_two_back_substitutes_its_roots():
     assert reduced == [P("x - 1"), P("x^2 - 1")] and conditions == []
 
 
+def test_lone_pivot_with_irrational_roots_stays_residual():
+    """Rational roots of the substituted pivot are returned; when a factor
+    without rational roots is left, the pivot stays as a residual."""
+    outcome = solve_overdetermined([P("y^2 - 2"), P("x - 1"), P("x^2 - 1")], ("x", "y"))
+    assert outcome.status == "residual"
+    assert outcome.solutions == [] and outcome.residual_system == [P("y^2 - 2")]
+    pivot = P("(y - 1)*(y^2 - 2)")
+    outcome = solve_overdetermined([pivot, P("x - 1"), P("x^2 - 1")], ("x", "y"))
+    assert outcome.status == "residual"
+    assert outcome.solutions == [{"x": Fraction(1), "y": Fraction(1)}]
+    assert outcome.residual_system == [pivot]
+
+
 def test_lone_pivot_skips_points_where_it_is_free_of_the_variable():
-    # at x = 0 the pivot x*y^2 - x vanishes for every y: the branch is skipped
+    # at x = 0 the pivot x*y^2 - x vanishes for every y: the branch is
+    # skipped, and the outcome is complete only where its lead x is nonzero
     system = [P("x*y^2 - x"), P("x"), P("x^2 + x")]
     outcome = solve_overdetermined(system, ("x", "y"))
     assert outcome.status == "inconsistent"
     assert [s.kind for s in outcome.trace][-1] == "branch-skipped"
+    assert outcome.conditions == [SideCondition(P("x"))]
 
 
 def test_lone_pivot_too_large_to_enumerate_stays_residual():
@@ -442,9 +465,9 @@ def test_eliminated_polynomials_lie_in_the_input_ideal():
 
 
 def test_pair_elimination_ends_at_the_resultant():
-    """For two equations the pivots form a subresultant remainder
-    sequence, which ends at the Sylvester resultant up to a rational
-    factor when every degree gap after the first is 1."""
+    """For two equations the pivots form a reduced remainder sequence,
+    which ends at the Sylvester resultant up to a rational factor when
+    every degree gap after the first is 1."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(109)
     x, y = sympy.symbols("x y")
