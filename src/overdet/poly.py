@@ -48,6 +48,8 @@ def _exponent(key: Term, var: str) -> int:
 
 
 def _key_product(left: Term, right: Term) -> Term:
+    if not left or not right:
+        return left or right
     merged = dict(left)
     for v, e in right:
         merged[v] = merged.get(v, 0) + e

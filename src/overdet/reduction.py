@@ -1,18 +1,21 @@
 """Degree-lowering reduction and elimination for overdetermined systems.
 
-The two-polynomial step replaces a pair {f, g} of equal degree n in one
-variable by an equivalent pair {c, d} of degree at most n-1: c cancels the
-leading terms of f and g, and d is c multiplied by the variable with the
+The paper's two-polynomial step replaces a pair {f, g} of equal degree n in
+one variable by an equivalent pair {c, d} of degree at most n-1: c cancels
+the leading terms of f and g, and d is c multiplied by the variable with the
 top power absorbed back through f.  Chaining the step reaches a linear pair,
 which is solved directly and checked with a 2x2 consistency determinant.
+The chain is kept as the reference method; the solver does not use it.
 
-Multivariate systems are treated one variable at a time: every equation is
-viewed through its coefficients in the chosen variable (polynomials in the
-remaining ones) and reduced against a pivot by pseudo-remainders, so that
-all arithmetic stays in the polynomial ring.  Factors known to divide are
-divided out exactly, as in Collins' (1967) reduced remainder sequence.  The
-last pivot gives the variable at each solution of the rest: directly when it
-is linear, by its rational roots otherwise.
+A system of at least m+1 equations in m variables is solved one variable at
+a time, the last variable included: every equation is viewed through its
+coefficients in the chosen variable (polynomials in the remaining ones) and
+reduced against a pivot by pseudo-remainders, so that all arithmetic stays
+in the polynomial ring.  Factors known to divide are divided out exactly,
+as in Collins' (1967) reduced remainder sequence.  With no variable left, a
+nonzero constant means the system is inconsistent.  Each level's pivot then
+gives its variable at each solution of the rest: directly when it is
+linear, by its rational roots otherwise.
 Every pivot leading coefficient is asserted nonzero and recorded as a side
 condition; results are complete only on the locus where all recorded
 conditions hold.  Nonzero constant conditions hold everywhere and are left
@@ -233,14 +236,15 @@ def reduce_chain(f: Polynomial, g: Polynomial, var: str) -> ReductionOutcome:
             trace.append(
                 ReductionStep(PAIR_REDUCE, (current_f, current_g), (c, d), tuple(pair_conditions))
             )
-            for cond in pair_conditions:
-                _merge_condition(conditions, cond)
             if c.is_zero():
                 # proportional pair: only one independent constraint survives
                 return _finish_survivor(current_f, var, (f, g), trace, conditions)
             c_degree = c.degree_in(var)
             if c_degree == deg_f - 1:
-                # working pair continues scaled to primitive form (same roots)
+                # working pair continues scaled to primitive form (same roots);
+                # only here does the result rest on c_top != 0
+                for cond in pair_conditions:
+                    _merge_condition(conditions, cond)
                 current_f, current_g = c.primitive_part(), d.primitive_part()
                 continue
             if c_degree == 0:
@@ -321,23 +325,10 @@ def _split_off_roots(
 ) -> Polynomial:
     """Divide out (var - r) for each root as often as it divides exactly."""
     remaining = poly
-    x = Polynomial.variable(var)
     for root in roots:
-        while True:
-            coeffs = [c.constant_value() for c in remaining.coefficients_in(var)]
-            if len(coeffs) <= 1:
-                break
-            # synthetic division by (var - root)
-            quotient = [Fraction(0)] * (len(coeffs) - 1)
-            carry = Fraction(0)
-            for k in range(len(coeffs) - 1, 0, -1):
-                quotient[k - 1] = coeffs[k] + carry
-                carry = quotient[k - 1] * root
-            if coeffs[0] + carry != 0:
-                break
-            remaining = Polynomial.zero((var,))
-            for power, c in enumerate(quotient):
-                remaining = remaining + x ** power * c
+        factor = Polynomial({((var, 1),): 1, (): -root})
+        while remaining.evaluate({var: root}) == 0:
+            remaining = remaining.exact_quotient(factor)
     return remaining
 
 
@@ -349,21 +340,15 @@ def _pseudo_remainder(dividend: Polynomial, divisor: Polynomial, var: str) -> Po
     ``lc(divisor)**(gap + 1) * dividend`` modulo ``divisor``, where gap is the
     degree gap.  Each power of ``var`` cleared from the top multiplies by the
     leading coefficient once, whether or not its coefficient was zero."""
-    remainder = dividend.coefficients_in(var)
-    *low, lead = divisor.coefficients_in(var)
-    while len(remainder) > len(low):
-        top = remainder.pop()
-        shift = len(remainder) - len(low)
-        remainder = [coeff * lead for coeff in remainder]
-        if not top.is_zero():
-            for power, coeff in enumerate(low, shift):
-                remainder[power] = remainder[power] - top * coeff
-    x = Polynomial.variable(var)
-    result = Polynomial.zero()
-    for power, coeff in enumerate(remainder):
-        if not coeff.is_zero():
-            result = result + coeff * x ** power
-    return result
+    degree = divisor.degree_in(var)
+    lead = divisor.coefficient_in(var, degree)
+    remainder = dividend
+    for shift in range(dividend.degree_in(var) - degree, -1, -1):
+        top = remainder.coefficient_in(var, degree + shift)
+        if shift:
+            top = top * Polynomial({((var, shift),): 1})
+        remainder = remainder * lead - divisor * top
+    return remainder
 
 
 @dataclass(frozen=True)
@@ -449,9 +434,9 @@ def _eliminate(system: Sequence[Polynomial], var: str) -> _EliminationResult:
 def eliminate_variable(
     system: Sequence[Polynomial], var: str
 ) -> tuple[list[Polynomial], list[SideCondition], list[ReductionStep]]:
-    """Eliminate ``var`` from a system of m+1 equations, returning the m
-    cross-consistency equations in the remaining variables plus the recorded
-    side conditions and the step-by-step trace."""
+    """Eliminate ``var`` from a system of k equations, returning the k-1
+    cross-consistency equations free of ``var`` plus the recorded side
+    conditions and the step-by-step trace."""
     result = _eliminate(system, var)
     return result.reduced, result.conditions, result.steps
 
@@ -467,60 +452,24 @@ def _occurring_variables(system: Sequence[Polynomial]) -> tuple[str, ...]:
     return tuple(seen)
 
 
-def _complete_univariate(
-    outcome: ReductionOutcome, system: Sequence[Polynomial], var: str
-) -> ReductionOutcome:
-    """Enumerate the rational roots of a residual survivor and verify them."""
-    if outcome.status != RESIDUAL or len(outcome.residual_system) != 1:
-        return outcome
-    survivor = outcome.residual_system[0]
-    roots = _rational_roots(survivor, var)
-    if roots is None:
-        return outcome  # enumeration infeasible: the residual stands as-is
-    verified = [
-        {var: root} for root in roots if _verified(system, {var: root})
-    ]
-    cofactor = _split_off_roots(survivor, var, roots)
-    fully_split = cofactor.degree_in(var) == 0
-    if fully_split:
-        if verified:
-            return ReductionOutcome(
-                SOLVED, verified, trace=outcome.trace, conditions=outcome.conditions
-            )
-        return ReductionOutcome(
-            INCONSISTENT, trace=outcome.trace, conditions=outcome.conditions
-        )
-    return ReductionOutcome(
-        RESIDUAL,
-        verified,
-        residual_system=[cofactor],
-        trace=outcome.trace,
-        conditions=outcome.conditions,
-    )
-
-
 def _solve_recursive(
     system: Sequence[Polynomial], variables: Sequence[str]
 ) -> ReductionOutcome:
-    if len(variables) == 1:
-        var = variables[0]
+    if not variables:
         nonzero = [p for p in system if not p.is_zero()]
-        if not nonzero:
-            return ReductionOutcome(DEGENERATE)
-        if len(nonzero) == 1:
-            outcome = _finish_survivor(nonzero[0], var, nonzero, [], [])
-            return _complete_univariate(outcome, nonzero, var)
-        outcome = reduce_chain(nonzero[0], nonzero[1], var)
-        if len(nonzero) > 2 and outcome.status == SOLVED:
-            outcome.solutions = [
-                p for p in outcome.solutions if _verified(nonzero, p)
-            ]
-            if not outcome.solutions:
-                outcome.status = INCONSISTENT
-        return _complete_univariate(outcome, nonzero, var)
+        if nonzero:
+            step = ReductionStep(INCONSISTENCY, (nonzero[0],), (nonzero[0],))
+            return ReductionOutcome(INCONSISTENT, trace=[step])
+        return ReductionOutcome(SOLVED, [{}])
 
     var = variables[-1]
-    elimination = _eliminate(system, var)
+    try:
+        elimination = _eliminate(system, var)
+    except AllDegreeZeroError:
+        # var is free: the remaining equations are what stopped the solve
+        remaining = tuple(p for p in system if not p.is_zero())
+        step = ReductionStep(RESIDUAL_STEP, remaining, remaining)
+        return ReductionOutcome(DEGENERATE, residual_system=list(remaining), trace=[step])
     inner = _solve_recursive(elimination.reduced, variables[:-1])
     trace = elimination.steps + inner.trace
     conditions = list(elimination.conditions)
@@ -531,18 +480,6 @@ def _solve_recursive(
         return ReductionOutcome(INCONSISTENT, trace=trace, conditions=conditions)
 
     pivot = elimination.pivot
-    if inner.status in (RESIDUAL, DEGENERATE):
-        status = DEGENERATE if inner.status == DEGENERATE and elimination.duplicates_only else RESIDUAL
-        residual = list(inner.residual_system) + [pivot]
-        trace.append(ReductionStep(RESIDUAL_STEP, (pivot,), (pivot,)))
-        return ReductionOutcome(
-            status,
-            solutions=[],
-            residual_system=residual,
-            trace=trace,
-            conditions=conditions,
-        )
-
     coefficients = pivot.coefficients_in(var)
     solutions: list[dict[str, Fraction]] = []
     unresolved = False
@@ -580,6 +517,17 @@ def _solve_recursive(
                 trace.append(ReductionStep(BRANCH_SKIPPED, tuple(system), ()))
                 continue
             solutions.append(candidate)
+
+    if inner.status in (RESIDUAL, DEGENERATE):
+        status = DEGENERATE if inner.status == DEGENERATE and elimination.duplicates_only else RESIDUAL
+        trace.append(ReductionStep(RESIDUAL_STEP, (pivot,), (pivot,)))
+        return ReductionOutcome(
+            status,
+            solutions,
+            residual_system=list(inner.residual_system) + [pivot],
+            trace=trace,
+            conditions=conditions,
+        )
     if unresolved:
         return ReductionOutcome(
             RESIDUAL, solutions, residual_system=[pivot], trace=trace, conditions=conditions
@@ -592,13 +540,17 @@ def _solve_recursive(
 def solve_overdetermined(
     system: Sequence[Polynomial], variables: Sequence[str] | None = None
 ) -> ReductionOutcome:
-    """Solve a system of m+1 polynomial equations in m variables.
+    """Solve a system of at least m+1 polynomial equations in m variables.
 
-    Variables are eliminated from the last one down to a single univariate
-    pair; solved values are back-substituted in reverse order and every
-    returned point is re-verified by exact evaluation against the input
-    system.  Points on loci where a recorded side condition vanishes are not
-    enumerated (the corresponding branches are skipped, not explored).
+    Variables are eliminated from the last one down, each by the same
+    pseudo-remainder kernel, until no variable is left: a nonzero constant
+    there means inconsistent.  Solved values are back-substituted in reverse
+    order through each level's pivot (its rational roots) and every returned
+    point is re-verified by exact evaluation against the input system.
+    Points on loci where a recorded side condition vanishes are not
+    enumerated (the corresponding branches are skipped, not explored).  A
+    variable that no remaining equation involves stops the solve there as
+    ``degenerate``.
     """
     polys = list(system)
     if variables is None:
@@ -609,13 +561,11 @@ def solve_overdetermined(
             f"need {len(variables) + 1} equations for {len(variables)} variables, "
             f"got {len(polys)} (system is not overdetermined enough)"
         )
-    if len(polys) > len(variables) + 1:
-        raise SystemShapeError(
-            f"need exactly {len(variables) + 1} equations for {len(variables)} "
-            f"variables, got {len(polys)}"
-        )
     if not variables:
         raise SystemShapeError("system involves no variables")
+    unlisted = [v for v in _occurring_variables(polys) if v not in variables]
+    if unlisted:
+        raise SystemShapeError(f"equations involve variables not solved for: {unlisted}")
     outcome = _solve_recursive(polys, variables)
     outcome.solutions.sort(key=lambda pt: tuple(pt[v] for v in variables if v in pt))
     return outcome

@@ -23,7 +23,12 @@ from overdet.jets import (
 from overdet.oracle import gcd_univariate, rational_root_search, sylvester_resultant
 from overdet.poly import Polynomial, parse_polynomial
 from overdet.rank import active_unknown_bound, certify, count_active_unknowns, exact_rank
-from overdet.reduction import eliminate_variable, reduce_pair, solve_overdetermined
+from overdet.reduction import (
+    eliminate_variable,
+    reduce_chain,
+    reduce_pair,
+    solve_overdetermined,
+)
 
 from helpers import common_rational_roots, random_univariate, rational_roots_of
 
@@ -50,14 +55,18 @@ def test_criterion_01_quadratic_golden_case():
         outcome = solve_overdetermined([f, g], ("x",))
         assert outcome.status == "solved"
         assert outcome.solutions == [{"x": Fraction(1)}]
+        assert outcome.conditions == []
+        # the paper's pair chain reaches the same root
+        chain = reduce_chain(f, g, "x")
+        assert chain.solutions == [{"x": Fraction(1)}]
         # the linear terminal's consistency determinant is exactly zero
-        terminal = [s for s in outcome.trace if s.kind == "linear-solve"][-1]
+        terminal = [s for s in chain.trace if s.kind == "linear-solve"][-1]
         assert terminal.outputs[0] == Polynomial.zero()
         # the pair step records its top-coefficient condition, -1; a nonzero
         # constant says nothing, so the outcome leaves it out
-        reduce_step = [s for s in outcome.trace if s.kind == "pair-reduce"][0]
+        reduce_step = [s for s in chain.trace if s.kind == "pair-reduce"][0]
         assert Polynomial.constant(-1) in [c.polynomial for c in reduce_step.conditions]
-        assert outcome.conditions == []
+        assert chain.conditions == []
 
 
 def test_criterion_02_equivalence_theorem_property():

@@ -107,15 +107,19 @@ def test_solve_inconsistent_exit_two(tmp_path, capsys):
     assert main(["solve", str(path)]) == 2
 
 
-def test_solve_pde_pipeline(tmp_path, capsys):
+@pytest.mark.parametrize("orders", [2, 3, 4])
+def test_solve_pde_pipeline(tmp_path, capsys, orders):
+    # above order 2 the prolonged system has more than m+1 equations
     pde = tmp_path / "riccati.pde"
     pde.write_text(RICCATI_PAIR)
-    code = main(["--format", "json", "solve", str(pde), "--orders", "2"])
+    code = main(["--format", "json", "solve", str(pde), "--orders", str(orders)])
     assert code == 0
     data = _json_out(capsys)
     assert data["status"] == "solved"
-    assert data["solutions"] == [{"S1[0]": 0, "S1[1]": 0, "S1[2]": 0}]
-    assert data["certification"][0]["rank"] == data["certification"][0]["n_s_real"]
+    assert data["solutions"] == [{f"S1[{j}]": 0 for j in range(orders + 1)}]
+    report = data["certification"][0]
+    assert report["certified"]
+    assert report["rank"] == report["n_s_real"] == orders + 1
 
 
 def test_reduce_quadratic_pair(tmp_path, capsys):

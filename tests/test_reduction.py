@@ -12,7 +12,7 @@ from overdet.errors import (
     NotUnivariateError,
     SystemShapeError,
 )
-from overdet.oracle import gcd_univariate
+from overdet.oracle import gcd_univariate, rational_root_search
 from overdet.poly import Polynomial, parse_polynomial
 from overdet.reduction import (
     SideCondition,
@@ -122,9 +122,13 @@ def test_chain_quadratic_golden():
 
 
 def test_chain_disjoint_quadratics_inconsistent():
-    outcome = reduce_chain(P("x^2 - 1"), P("x^2 - 4"), "x")
-    assert outcome.status == "inconsistent"
-    assert gcd_univariate(P("x^2 - 1"), P("x^2 - 4"), "x").is_constant()
+    for f, g in ((P("x^2 - 1"), P("x^2 - 4")), (P("x^2 + 1"), P("x^2 + 2"))):
+        outcome = reduce_chain(f, g, "x")
+        assert outcome.status == "inconsistent"
+        assert gcd_univariate(f, g, "x").is_constant()
+        # c dropped to a constant, so its vanishing top coefficient is not
+        # a condition the outcome rests on
+        assert outcome.conditions == []
 
 
 def test_chain_duplicate_equation_residual():
@@ -277,7 +281,41 @@ def test_solve_shape_errors():
     with pytest.raises(SystemShapeError):
         solve_overdetermined([P("x*y - 1"), P("x + y")], ("x", "y"))
     with pytest.raises(SystemShapeError):
-        solve_overdetermined([P("x - 1"), P("x - 1"), P("x - 1")], ("x",))
+        solve_overdetermined([P("x*y - 1"), P("x - 1"), P("y - 1")], ("x",))
+    # more than m+1 equations are accepted
+    outcome = solve_overdetermined([P("x - 1"), P("x - 1"), P("x - 1")], ("x",))
+    assert outcome.status == "solved"
+    assert outcome.solutions == [{"x": Fraction(1)}]
+
+
+def test_solve_reduces_every_univariate_equation():
+    # the first two equations share x^2 - 2; only the third rules it out
+    f = P("x^2 - 2")
+    outcome = solve_overdetermined([f * P("x - 1"), f * P("x^2 - 1"), P("x - 1")], ("x",))
+    assert outcome.status == "solved"
+    assert outcome.solutions == [{"x": Fraction(1)}]
+
+
+def test_solve_reports_a_variable_no_equation_involves():
+    # once z is eliminated no equation involves y: the solve stops there
+    system = [P("z - x"), P("z - 1"), P("z - x"), P("z + x - 2")]
+    outcome = solve_overdetermined(system, ("x", "y", "z"))
+    assert outcome.status == "residual"
+    assert outcome.residual_system == [P("x - 1"), P("x - 1"), P("z - x")]
+
+
+def test_residual_keeps_back_substituted_partial_solutions():
+    """x = 1 verifies while the factor x^2 - 2 stays residual; y is
+    back-substituted at x = 1, and (1, 2) is returned beside the residual."""
+    system = [
+        P("y - 2*x"),
+        P("(x - 1)*(x^2 - 2) + y - 2*x"),
+        P("x*(x - 1)*(x^2 - 2) + 3*(y - 2*x)"),
+    ]
+    outcome = solve_overdetermined(system, ("x", "y"))
+    assert outcome.status == "residual"
+    assert outcome.solutions == [{"x": Fraction(1), "y": Fraction(2)}]
+    assert outcome.residual_system == [P("(x - 1)*(x^2 - 2)"), P("y - 2*x")]
 
 
 def test_solve_residual_with_irrational_part():
@@ -550,3 +588,28 @@ def test_solve_fuzz_trivariate_two_levels():
         if planted in outcome.solutions:
             found += 1
     assert found >= total // 3
+
+
+def test_solve_accounts_for_every_small_rational_root():
+    """Differential check against the oracle's exhaustive search: each root
+    it finds is returned, lies on the residual, or lies on a nonconstant
+    recorded condition that vanishes there."""
+    rng = random.Random(113)
+    roots_seen = 0
+    cases = [(("x",), d) for d in range(2, 9)] * 6 + [(("x", "y"), d) for d in (2, 3, 4)] * 10
+    for names, degree in cases:
+        system = _planted_system(rng, names, degree)
+        if rng.random() < 0.3:
+            # one more equation through the same root: more than m+1
+            system.append(system[0] * Polynomial.variable(names[0]) - system[-1] * 2)
+        outcome = solve_overdetermined(system, names)
+        conditions = [c.polynomial for c in outcome.conditions if not c.polynomial.is_constant()]
+        for root in rational_root_search(system, 3, names):
+            roots_seen += 1
+            assert (
+                root in outcome.solutions
+                or (outcome.residual_system
+                    and all(q.evaluate(root) == 0 for q in outcome.residual_system))
+                or any(c.evaluate(root) == 0 for c in conditions)
+            ), (system, root, outcome.status)
+    assert roots_seen >= len(cases)
