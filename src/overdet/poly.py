@@ -1,10 +1,15 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-Coefficients are ``fractions.Fraction`` values, so arithmetic is exact and
-equality of canonical forms is decidable.  Polynomials are immutable; every
-operation returns a fresh value in canonical form (no zero coefficients, no
-zero exponents).  Two polynomials are equal exactly when their term maps are
-equal, regardless of how their variable tables are ordered.
+A polynomial is stored as integer numerators over one shared positive
+denominator: ``sum(n_t * t) / den``.  Arithmetic is exact and equality of
+canonical forms is decidable.  Polynomials are immutable; every operation
+returns a fresh value in canonical form (no zero numerators, no zero
+exponents, ``gcd(den, *numerators) == 1``, and ``den == 1`` for the zero
+polynomial).  Integer polynomials keep ``den == 1``, so their arithmetic
+runs on plain ints; the gcd normalisation only runs when ``den != 1``.
+Coefficients are read back as ``fractions.Fraction`` values.  Two
+polynomials are equal exactly when their values are, regardless of how
+their variable tables are ordered.
 
 Text syntax accepted by :func:`parse_polynomial`: named variables combined
 with ``+ - * ^``, integer or rational literals such as ``-3/4``, parentheses
@@ -63,6 +68,22 @@ def _merge_tables(left: tuple[str, ...], right: tuple[str, ...]) -> tuple[str, .
     return left + tuple(v for v in right if v not in seen)
 
 
+def _integral(value: ScalarLike) -> ScalarLike:
+    """An integral ``Fraction`` as its int numerator, so that products with
+    it stay in int arithmetic; any other value unchanged."""
+    return value.numerator if type(value) is Fraction and value.denominator == 1 else value
+
+
+def _over_common_denominator(
+    values: Mapping[Term, int | Fraction],
+) -> tuple[dict[Term, int], int]:
+    """Integer numerators over the lcm of the denominators of ``values``.
+    Every prime of that lcm divides it no more often than the denominator
+    that has it most, so no factor is shared with every numerator."""
+    den = lcm(*(c.denominator for c in values.values()))
+    return {key: c.numerator * (den // c.denominator) for key, c in values.items()}, den
+
+
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
@@ -71,7 +92,7 @@ class Polynomial:
     Tables are merged by name when two polynomials are combined.
     """
 
-    __slots__ = ("_vars", "_terms")
+    __slots__ = ("_vars", "_terms", "_den")
 
     def __init__(
         self,
@@ -85,31 +106,46 @@ class Polynomial:
         drop; a negative exponent raises ``ValueError``.  Variables missing
         from ``variables`` join the table in order of appearance."""
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Term, Fraction] = {}
+        acc: dict[Term, int | Fraction] = {}
         for exps, coeff in items:
             pairs = dict(exps)
             for var, exp in pairs.items():
                 if exp < 0:
                     raise ValueError(f"negative exponent for {var}")
             key = tuple(sorted((v, e) for v, e in pairs.items() if e))
-            value = Fraction(coeff)
+            value = coeff if type(coeff) is int else Fraction(coeff)
             acc[key] = acc[key] + value if key in acc else value
-        self._terms = {key: coeff for key, coeff in acc.items() if coeff}
+        numerators, self._den = _over_common_denominator(acc)
+        self._terms = {key: coeff for key, coeff in numerators.items() if coeff}
         table = tuple(variables)
         added = dict.fromkeys(v for key in self._terms for v, _ in key if v not in table)
         self._vars = table + tuple(added)
 
     @classmethod
-    def _canonical(cls, terms: dict[Term, Fraction], table: tuple[str, ...]) -> "Polynomial":
-        """Wrap ``terms`` whose keys are canonical, whose coefficients are
-        already ``Fraction`` values and whose variables all appear in
-        ``table``; only zeros are dropped.  Arithmetic on existing
-        polynomials keeps these conditions, so it skips the validation of
-        the public constructor."""
+    def _canonical(
+        cls, terms: dict[Term, int], table: tuple[str, ...], den: int = 1
+    ) -> "Polynomial":
+        """Wrap integer numerators ``terms`` over the positive ``den``, whose
+        keys are canonical and whose variables all appear in ``table``; zeros
+        are dropped and, when ``den != 1``, the gcd shared by ``den`` and
+        every numerator is divided out.  Arithmetic on existing polynomials
+        keeps these conditions, so it skips the validation of the public
+        constructor."""
         poly = object.__new__(cls)
         poly._vars = table
-        poly._terms = {key: coeff for key, coeff in terms.items() if coeff}
+        terms = {key: coeff for key, coeff in terms.items() if coeff}
+        if den != 1:
+            shared = gcd(den, *terms.values())
+            if shared != 1:
+                terms = {key: coeff // shared for key, coeff in terms.items()}
+                den //= shared
+        poly._terms = terms
+        poly._den = den
         return poly
+
+    def _scalar(self, numerator: int | Fraction) -> Fraction:
+        """``numerator / den`` as a ``Fraction``."""
+        return Fraction(numerator) if self._den == 1 else Fraction(numerator, self._den)
 
     # -- constructors ------------------------------------------------------
 
@@ -154,18 +190,19 @@ class Polynomial:
         """Value of a constant polynomial (the zero polynomial gives 0)."""
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms.get((), Fraction(0))
+        return self._scalar(self._terms.get((), 0))
 
     def ordered_terms(self) -> list[tuple[Term, Fraction]]:
-        """Terms in canonical order: graded lexicographic over name-sorted
-        variables, so the ordering survives printing and reparsing."""
+        """Terms with their ``Fraction`` coefficients in canonical order:
+        graded lexicographic over name-sorted variables, so the ordering
+        survives printing and reparsing."""
         order = sorted({v for key in self._terms for v, _ in key})
 
-        def grlex(item: tuple[Term, Fraction]):
-            exps = dict(item[0])
+        def grlex(key: Term):
+            exps = dict(key)
             return (-sum(exps.values()), tuple(-exps.get(v, 0) for v in order))
 
-        return sorted(self._terms.items(), key=grlex)
+        return [(key, self._scalar(self._terms[key])) for key in sorted(self._terms, key=grlex)]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -176,42 +213,57 @@ class Polynomial:
             return Polynomial.constant(other, self._vars)
         return None
 
+    def _sum(self, rhs: "Polynomial", sign: int) -> "Polynomial":
+        """``self + sign * rhs`` over the lcm of the two denominators."""
+        den = self._den if self._den == rhs._den else lcm(self._den, rhs._den)
+        scale = den // self._den
+        acc = dict(self._terms) if scale == 1 else {
+            key: coeff * scale for key, coeff in self._terms.items()
+        }
+        rhs_scale = sign * (den // rhs._den)
+        for key, coeff in rhs._terms.items():
+            if rhs_scale != 1:
+                coeff *= rhs_scale
+            acc[key] = acc[key] + coeff if key in acc else coeff
+        return Polynomial._canonical(acc, _merge_tables(self._vars, rhs._vars), den)
+
     def __add__(self, other) -> "Polynomial":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc = dict(self._terms)
-        for key, coeff in rhs._terms.items():
-            acc[key] = acc[key] + coeff if key in acc else coeff
-        return Polynomial._canonical(acc, _merge_tables(self._vars, rhs._vars))
+        return self._sum(rhs, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._canonical({m: -c for m, c in self._terms.items()}, self._vars)
+        return Polynomial._canonical(
+            {key: -coeff for key, coeff in self._terms.items()}, self._vars, self._den
+        )
 
     def __sub__(self, other) -> "Polynomial":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return self._sum(rhs, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return rhs + (-self)
+        return rhs._sum(self, -1)
 
     def __mul__(self, other) -> "Polynomial":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc: dict[Term, Fraction] = {}
+        acc: dict[Term, int] = {}
         for k1, c1 in self._terms.items():
             for k2, c2 in rhs._terms.items():
                 key = _key_product(k1, k2)
                 acc[key] = acc[key] + c1 * c2 if key in acc else c1 * c2
-        return Polynomial._canonical(acc, _merge_tables(self._vars, rhs._vars))
+        return Polynomial._canonical(
+            acc, _merge_tables(self._vars, rhs._vars), self._den * rhs._den
+        )
 
     __rmul__ = __mul__
 
@@ -233,19 +285,23 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self._terms == rhs._terms
+        return self._den == rhs._den and self._terms == rhs._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._terms.items())))
 
     def exact_quotient(self, divisor: "Polynomial") -> "Polynomial":
         """The polynomial q with ``q * divisor == self``.
 
         Division walks leading terms in lexicographic order over the
-        name-sorted variables.  The remainder is kept as exponent vectors
-        with a heap of its terms, so each step pops its leading term instead
-        of rescanning.  Raises ``ValueError`` when ``divisor`` does not
-        divide exactly and ``ZeroDivisionError`` when it is zero.
+        name-sorted variables, dividing the numerators; the denominators
+        only scale the result.  Each step divides with ``//`` when the
+        divisor's leading numerator divides exactly, which it always does
+        when q has integer numerators, and is exact over the rationals
+        otherwise.  The remainder is kept as exponent vectors with a heap of
+        its terms, so each step pops its leading term instead of rescanning.
+        Raises ``ValueError`` when ``divisor`` does not divide exactly and
+        ``ZeroDivisionError`` when it is zero.
         """
         if not divisor._terms:
             raise ZeroDivisionError("polynomial division by zero")
@@ -264,7 +320,7 @@ class Polynomial:
         # that cancelled stay behind and are skipped when popped
         heap = [tuple(-e for e in exps) for exps in remainder]
         heapq.heapify(heap)
-        quotient: dict[Term, Fraction] = {}
+        quotient: dict[Term, int | Fraction] = {}
         while heap:
             top = tuple(-e for e in heapq.heappop(heap))
             coeff = remainder.pop(top, None)
@@ -273,7 +329,10 @@ class Polynomial:
             shift = tuple(a - b for a, b in zip(top, lead))
             if min(shift, default=0) < 0:
                 raise ValueError("the divisor does not divide exactly")
-            factor = coeff / lead_coeff
+            if type(coeff) is int and coeff % lead_coeff == 0:
+                factor = coeff // lead_coeff
+            else:
+                factor = Fraction(coeff, lead_coeff)
             quotient[tuple((v, e) for v, e in zip(names, shift) if e)] = factor
             for exps, value in rest:
                 target = tuple(a + b for a, b in zip(shift, exps))
@@ -286,26 +345,25 @@ class Polynomial:
                 else:
                     remainder[target] = -factor * value
                     heapq.heappush(heap, tuple(-e for e in target))
-        return Polynomial._canonical(quotient, _merge_tables(self._vars, divisor._vars))
+        # (N / a) / (M / b) = (N / M) * b / a
+        numerators, den = _over_common_denominator(quotient)
+        if divisor._den != 1:
+            numerators = {key: coeff * divisor._den for key, coeff in numerators.items()}
+        return Polynomial._canonical(
+            numerators, _merge_tables(self._vars, divisor._vars), den * self._den
+        )
 
     def primitive_part(self) -> "Polynomial":
         """Each coefficient divided by the positive rational content, the
-        gcd g of the numerators over the lcm l of the denominators.  The
-        zero set is unchanged.  ``(n/d) / (g/l) = (n//g) * (l//d)`` is an
-        integer, so no quotient needs reducing."""
+        gcd g of the numerators over the shared denominator: the numerators
+        divided by g, over 1.  The zero set is unchanged."""
         if not self._terms:
             return self
-        coeffs = self._terms.values()
-        shared = gcd(*(c.numerator for c in coeffs))
-        common = lcm(*(c.denominator for c in coeffs))
-        if shared == 1 and common == 1:
+        shared = gcd(*self._terms.values())
+        if shared == 1 and self._den == 1:
             return self
         return Polynomial._canonical(
-            {
-                key: Fraction(coeff.numerator // shared * (common // coeff.denominator))
-                for key, coeff in self._terms.items()
-            },
-            self._vars,
+            {key: coeff // shared for key, coeff in self._terms.items()}, self._vars
         )
 
     # -- calculus and structure --------------------------------------------
@@ -315,23 +373,24 @@ class Polynomial:
 
         Every variable of a term must be assigned, even when another factor
         is zero.  A term stops at its first zero factor and adds nothing;
-        otherwise its coefficient multiplies the product of the raw point
-        values once.
+        otherwise its numerator multiplies the product of the point values
+        once (an integral ``Fraction`` taken as its int numerator), and the
+        sum is divided by the denominator at the end.
         """
-        total = Fraction(0)
+        total = 0
         for key, coeff in self._terms.items():
             for var, _ in key:
                 if var not in point:
                     raise MissingAssignmentError(var)
             product = 1
             for var, exp in key:
-                value = point[var]
+                value = _integral(point[var])
                 if not value:
                     break
                 product *= value if exp == 1 else value ** exp
             else:
                 total += coeff * product
-        return total
+        return self._scalar(total)
 
     def substitute(self, replacements: Mapping[str, "Polynomial | ScalarLike"]) -> "Polynomial":
         """Replace variables by polynomials (or scalars); others stay symbolic."""
@@ -346,7 +405,7 @@ class Polynomial:
                 factor = subs.get(var, Polynomial.variable(var)) ** exp
                 term = term * factor
             result = result + term
-        return result
+        return Polynomial._canonical(result._terms, result._vars, result._den * self._den)
 
     def partial_derivative(self, var: str) -> "Polynomial":
         return self.derivation({var: 1})
@@ -358,7 +417,7 @@ class Polynomial:
         ``c*m`` contributes ``c*e*(m/x)*image`` for each mapped variable x of
         exponent e, all in one walk over the terms.
         """
-        acc: dict[Term, Fraction] = {}
+        acc: dict[Term, int] = {}
         mapped: set[str] = set()
         for key, coeff in self._terms.items():
             for index, (var, exp) in enumerate(key):
@@ -382,16 +441,20 @@ class Polynomial:
                 if v in mapped and images[v] != 1 and images[v] not in known
             )
         )
-        return Polynomial._canonical(acc, self._vars + added)
+        return Polynomial._canonical(acc, self._vars + added, self._den)
 
     def gradient_at(self, point: Mapping[str, ScalarLike]) -> dict[str, Fraction]:
         """The nonzero first partials at a point, ``{variable: value}``.
 
         One walk over the terms; every occurring variable must be assigned.
         A term with two or more zero factors (``x^2`` at ``x = 0`` counts
-        twice) has every first partial zero there and adds nothing.
+        twice) has every first partial zero there and adds nothing.  The
+        partials are summed over the numerators and divided by the
+        denominator at the end; integral ``Fraction`` values are taken as
+        ints, and an int product is divided by a factor it contains with
+        ``//``.
         """
-        grad: dict[str, Fraction] = {}
+        grad: dict[str, int | Fraction] = {}
         for key, coeff in self._terms.items():
             product = coeff
             zeros = 0
@@ -399,19 +462,21 @@ class Polynomial:
             for var, exp in key:
                 if var not in point:
                     raise MissingAssignmentError(var)
-                x = point[var]
+                x = _integral(point[var])
                 if x:
                     product *= x if exp == 1 else x ** exp
                 else:
                     zeros += exp
                     zero_var = var
             if zeros == 0:
+                exact = type(product) is int
                 for var, exp in key:
-                    term = product * exp / point[var]
+                    x = _integral(point[var])
+                    term = product * exp // x if exact else product * exp / x
                     grad[var] = grad[var] + term if var in grad else term
             elif zeros == 1:
                 grad[zero_var] = grad[zero_var] + product if zero_var in grad else product
-        return {var: value for var, value in grad.items() if value}
+        return {var: self._scalar(value) for var, value in grad.items() if value}
 
     def degree_in(self, var: str) -> int:
         """Max exponent of ``var``; the zero polynomial reports -1."""
@@ -419,11 +484,11 @@ class Polynomial:
 
     def coefficient_in(self, var: str, power: int) -> "Polynomial":
         """The coefficient of ``var ** power``, free of ``var``."""
-        acc: dict[Term, Fraction] = {}
+        acc: dict[Term, int] = {}
         for key, coeff in self._terms.items():
             if _exponent(key, var) == power:
                 acc[tuple(pair for pair in key if pair[0] != var)] = coeff
-        return Polynomial._canonical(acc, tuple(v for v in self._vars if v != var))
+        return Polynomial._canonical(acc, tuple(v for v in self._vars if v != var), self._den)
 
     def coefficients_in(self, var: str) -> list["Polynomial"]:
         """All coefficients ``[A_0, ..., A_d]`` with ``self == sum A_i * var**i``,
@@ -431,18 +496,18 @@ class Polynomial:
 
         Returns an empty list for the zero polynomial.
         """
-        parts: list[dict[Term, Fraction]] = [{} for _ in range(self.degree_in(var) + 1)]
+        parts: list[dict[Term, int]] = [{} for _ in range(self.degree_in(var) + 1)]
         for key, coeff in self._terms.items():
             parts[_exponent(key, var)][tuple(pair for pair in key if pair[0] != var)] = coeff
         table = tuple(v for v in self._vars if v != var)
-        return [Polynomial._canonical(part, table) for part in parts]
+        return [Polynomial._canonical(part, table, self._den) for part in parts]
 
     def leading_coefficient_in(self, var: str) -> "Polynomial":
         return self.coefficient_in(var, self.degree_in(var))
 
     def rename_variables(self, mapping: Mapping[str, str]) -> "Polynomial":
         """Rename variables; exponents merge when two names collide."""
-        acc: dict[Term, Fraction] = {}
+        acc: dict[Term, int] = {}
         for key, coeff in self._terms.items():
             exps: dict[str, int] = {}
             for var, exp in key:
@@ -451,7 +516,7 @@ class Polynomial:
             renamed = tuple(sorted(exps.items()))
             acc[renamed] = acc[renamed] + coeff if renamed in acc else coeff
         table = tuple(dict.fromkeys(mapping.get(v, v) for v in self._vars))
-        return Polynomial._canonical(acc, table)
+        return Polynomial._canonical(acc, table, self._den)
 
     # -- printing ----------------------------------------------------------
 

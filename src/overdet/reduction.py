@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -148,16 +147,15 @@ def _finish_survivor(
     var: str,
     originals: Sequence[Polynomial],
     trace: list[ReductionStep],
-    conditions: list[SideCondition],
 ) -> ReductionOutcome:
     """Terminal handling once the pair has collapsed to a single constraint."""
     degree = survivor.degree_in(var)
     if degree < 0:
         trace.append(ReductionStep(RESIDUAL_STEP, (survivor,), ()))
-        return ReductionOutcome(DEGENERATE, trace=trace, conditions=conditions)
+        return ReductionOutcome(DEGENERATE, trace=trace)
     if degree == 0:
         trace.append(ReductionStep(INCONSISTENCY, (survivor,), (survivor,)))
-        return ReductionOutcome(INCONSISTENT, trace=trace, conditions=conditions)
+        return ReductionOutcome(INCONSISTENT, trace=trace)
     if degree == 1:
         a1 = survivor.coefficient_in(var, 1).constant_value()
         a0 = survivor.coefficient_in(var, 0).constant_value()
@@ -166,12 +164,10 @@ def _finish_survivor(
         point = {var: root}
         if not _verified(originals, point):
             trace.append(ReductionStep(BRANCH_SKIPPED, (survivor,), ()))
-            return ReductionOutcome(INCONSISTENT, trace=trace, conditions=conditions)
-        return ReductionOutcome(SOLVED, [point], trace=trace, conditions=conditions)
+            return ReductionOutcome(INCONSISTENT, trace=trace)
+        return ReductionOutcome(SOLVED, [point], trace=trace)
     trace.append(ReductionStep(RESIDUAL_STEP, (survivor,), (survivor,)))
-    return ReductionOutcome(
-        RESIDUAL, residual_system=[survivor], trace=trace, conditions=conditions
-    )
+    return ReductionOutcome(RESIDUAL, residual_system=[survivor], trace=trace)
 
 
 def _linear_terminal(
@@ -180,7 +176,6 @@ def _linear_terminal(
     var: str,
     originals: Sequence[Polynomial],
     trace: list[ReductionStep],
-    conditions: list[SideCondition],
 ) -> ReductionOutcome:
     """Solve a pair of linear equations and check the consistency determinant."""
     a1 = first.coefficient_in(var, 1)
@@ -188,23 +183,24 @@ def _linear_terminal(
     b1 = second.coefficient_in(var, 1)
     b0 = second.coefficient_in(var, 0)
     det = a1 * b0 - b1 * a0
-    cond = SideCondition(a1)
-    trace.append(ReductionStep(LINEAR_SOLVE, (first, second), (det,), (cond,)))
-    _merge_condition(conditions, cond)
+    trace.append(ReductionStep(LINEAR_SOLVE, (first, second), (det,), (SideCondition(a1),)))
     if not det.is_zero():
-        return ReductionOutcome(INCONSISTENT, trace=trace, conditions=conditions)
+        return ReductionOutcome(INCONSISTENT, trace=trace)
     root = -a0.constant_value() / a1.constant_value()
     point = {var: root}
     if not _verified(originals, point):
         trace.append(ReductionStep(BRANCH_SKIPPED, (first, second), ()))
-        return ReductionOutcome(INCONSISTENT, trace=trace, conditions=conditions)
-    return ReductionOutcome(SOLVED, [point], trace=trace, conditions=conditions)
+        return ReductionOutcome(INCONSISTENT, trace=trace)
+    return ReductionOutcome(SOLVED, [point], trace=trace)
 
 
 def reduce_chain(f: Polynomial, g: Polynomial, var: str) -> ReductionOutcome:
     """Iterate the pair reduction on univariate constant-coefficient input
     until a linear pair (solved via the consistency determinant), a nonzero
     constant (inconsistent), or a surviving factor of degree >= 2 (residual).
+    The conditions each step records stay in the trace; the outcome has
+    none, since a step that continues the chain only asserts nonzero
+    constants.
     """
     for poly in (f, g):
         if poly.is_zero():
@@ -215,7 +211,6 @@ def reduce_chain(f: Polynomial, g: Polynomial, var: str) -> ReductionOutcome:
                 f"reduce_chain requires univariate input; {poly} also involves {extra}"
             )
     trace: list[ReductionStep] = []
-    conditions: list[SideCondition] = []
     current_f, current_g = f, g
     while True:
         deg_f = current_f.degree_in(var)
@@ -224,13 +219,13 @@ def reduce_chain(f: Polynomial, g: Polynomial, var: str) -> ReductionOutcome:
             current_f, current_g = current_g, current_f
             deg_f, deg_g = deg_g, deg_f
         if deg_g < 0:
-            return _finish_survivor(current_f, var, (f, g), trace, conditions)
+            return _finish_survivor(current_f, var, (f, g), trace)
         if deg_g == 0:
             # a nonzero constant combination rules out every root
             trace.append(ReductionStep(INCONSISTENCY, (current_g,), (current_g,)))
-            return ReductionOutcome(INCONSISTENT, trace=trace, conditions=conditions)
+            return ReductionOutcome(INCONSISTENT, trace=trace)
         if deg_f == 1 and deg_g == 1:
-            return _linear_terminal(current_f, current_g, var, (f, g), trace, conditions)
+            return _linear_terminal(current_f, current_g, var, (f, g), trace)
         if deg_f == deg_g:
             c, d, pair_conditions = reduce_pair(current_f, current_g, var)
             trace.append(
@@ -238,18 +233,15 @@ def reduce_chain(f: Polynomial, g: Polynomial, var: str) -> ReductionOutcome:
             )
             if c.is_zero():
                 # proportional pair: only one independent constraint survives
-                return _finish_survivor(current_f, var, (f, g), trace, conditions)
+                return _finish_survivor(current_f, var, (f, g), trace)
             c_degree = c.degree_in(var)
             if c_degree == deg_f - 1:
-                # working pair continues scaled to primitive form (same roots);
-                # only here does the result rest on c_top != 0
-                for cond in pair_conditions:
-                    _merge_condition(conditions, cond)
+                # working pair continues scaled to primitive form (same roots)
                 current_f, current_g = c.primitive_part(), d.primitive_part()
                 continue
             if c_degree == 0:
                 trace.append(ReductionStep(INCONSISTENCY, (c,), (c,)))
-                return ReductionOutcome(INCONSISTENT, trace=trace, conditions=conditions)
+                return ReductionOutcome(INCONSISTENT, trace=trace)
             # c lost more than one degree: keep f and continue with {f, c}
             current_g = c.primitive_part()
             continue
@@ -269,12 +261,17 @@ def reduce_chain(f: Polynomial, g: Polynomial, var: str) -> ReductionOutcome:
 # -- rational roots of a univariate survivor ---------------------------------
 
 
-# divisor scans beyond this take too long; enumeration is then declined
+# divisor scans beyond this take too long; only small divisors are tried then
 _ENUMERATION_LIMIT = 10 ** 12
+# the largest divisor tried when a coefficient is beyond _ENUMERATION_LIMIT
+_SMALL_DIVISOR_BOUND = 1000
 
 
-def _divisors(n: int) -> list[int]:
+def _divisors(n: int, bound: int | None = None) -> list[int]:
+    """The positive divisors of n, or only those up to ``bound``."""
     n = abs(n)
+    if bound is not None:
+        return [k for k in range(1, bound + 1) if n % k == 0]
     found = set()
     k = 1
     while k * k <= n:
@@ -285,17 +282,13 @@ def _divisors(n: int) -> list[int]:
     return sorted(found)
 
 
-def _rational_roots(poly: Polynomial, var: str) -> list[Fraction] | None:
-    """All rational roots via exact divisor enumeration, or None when the
-    coefficients are too large to enumerate divisors for."""
-    coeffs = [c.constant_value() for c in poly.coefficients_in(var)]
-    if not coeffs:
-        return []
-    denominator_lcm = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denominator_lcm) for c in coeffs]
-    shared = gcd(*ints)
-    if shared > 1:
-        ints = [value // shared for value in ints]
+def _rational_roots(poly: Polynomial, var: str) -> list[Fraction]:
+    """The rational roots ``p/q`` with p dividing the lowest and q the
+    leading nonzero integer coefficient, found by divisor enumeration.  When
+    either exceeds ``_ENUMERATION_LIMIT``, only divisors up to
+    ``_SMALL_DIVISOR_BOUND`` are tried and the list can miss roots; callers
+    decide completeness by splitting the returned roots off."""
+    ints = [int(c.constant_value()) for c in poly.primitive_part().coefficients_in(var)]
     low = 0
     while low < len(ints) and ints[low] == 0:
         low += 1
@@ -306,12 +299,12 @@ def _rational_roots(poly: Polynomial, var: str) -> list[Fraction] | None:
     if len(ints) <= 1:
         return sorted(roots)
     constant, lead = ints[0], ints[-1]
-    if abs(constant) > _ENUMERATION_LIMIT or abs(lead) > _ENUMERATION_LIMIT:
-        return None
+    large = abs(constant) > _ENUMERATION_LIMIT or abs(lead) > _ENUMERATION_LIMIT
+    bound = _SMALL_DIVISOR_BOUND if large else None
     candidates = {
         Fraction(sign * p, q)
-        for p in _divisors(constant)
-        for q in _divisors(lead)
+        for p in _divisors(constant, bound)
+        for q in _divisors(lead, bound)
         for sign in (1, -1)
     }
     for candidate in candidates:
@@ -466,7 +459,11 @@ def _solve_recursive(
     try:
         elimination = _eliminate(system, var)
     except AllDegreeZeroError:
-        # var is free: the remaining equations are what stopped the solve
+        # var is free: inconsistent if the remaining equations are, and
+        # otherwise they are what stopped the solve
+        inner = _solve_recursive(system, variables[:-1])
+        if inner.status == INCONSISTENT:
+            return inner
         remaining = tuple(p for p in system if not p.is_zero())
         step = ReductionStep(RESIDUAL_STEP, remaining, remaining)
         return ReductionOutcome(DEGENERATE, residual_system=list(remaining), trace=[step])
@@ -496,21 +493,18 @@ def _solve_recursive(
             _merge_condition(conditions, cond)
             continue
         if len(values) == 2:
-            roots: list[Fraction] | None = [-values[0] / values[1]]
+            roots = [-values[0] / values[1]]
             complete = True
         else:
             substituted = Polynomial({((var, k),): v for k, v in enumerate(values)})
             roots = _rational_roots(substituted, var)
-            complete = (
-                roots is not None
-                and _split_off_roots(substituted, var, roots).degree_in(var) == 0
-            )
+            complete = _split_off_roots(substituted, var, roots).degree_in(var) == 0
         if not complete:
-            # irrational roots, or too large to enumerate: the pivot stays
-            # as a residual beside the verified rational roots
+            # irrational roots, or rational ones beyond the divisors tried:
+            # the pivot stays as a residual beside the verified roots
             trace.append(ReductionStep(RESIDUAL_STEP, (pivot,), (pivot,)))
             unresolved = True
-        for root in roots or ():
+        for root in roots:
             candidate = dict(point)
             candidate[var] = root
             if not _verified(system, candidate):

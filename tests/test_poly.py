@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from overdet.errors import MissingAssignmentError, PolynomialParseError
+from overdet import poly
 from overdet.poly import Polynomial, parse_polynomial
 
 P = parse_polynomial
@@ -430,3 +431,201 @@ def test_primitive_part_divides_by_positive_content():
         # a positive rational multiple of f
         ratio = coeffs[0] / f.ordered_terms()[0][1]
         assert ratio > 0 and part == f * ratio
+
+
+# -- integer numerators over one denominator, against a Fraction reference ------
+
+
+def _ref(f):
+    """f as a plain ``{term: Fraction}`` map, read through the public API."""
+    return dict(f.ordered_terms())
+
+
+def _ref_key(exps):
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
+def _ref_nonzero(terms):
+    return {key: coeff for key, coeff in terms.items() if coeff}
+
+
+def _ref_sum(a, b, sign=1):
+    out = dict(a)
+    for key, coeff in b.items():
+        out[key] = out.get(key, 0) + sign * coeff
+    return _ref_nonzero(out)
+
+
+def _ref_product(a, b):
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            exps = dict(k1)
+            for v, e in k2:
+                exps[v] = exps.get(v, 0) + e
+            key = _ref_key(exps)
+            out[key] = out.get(key, 0) + c1 * c2
+    return _ref_nonzero(out)
+
+
+def _ref_power(a, n):
+    out = {(): Fraction(1)}
+    for _ in range(n):
+        out = _ref_product(out, a)
+    return out
+
+
+def _ref_derivation(a, images):
+    out = {}
+    for key, coeff in a.items():
+        for var, exp in key:
+            image = images.get(var)
+            if image is None:
+                continue
+            exps = dict(key)
+            exps[var] -= 1
+            if image != 1:
+                exps[image] = exps.get(image, 0) + 1
+            lowered = _ref_key(exps)
+            out[lowered] = out.get(lowered, 0) + coeff * exp
+    return _ref_nonzero(out)
+
+
+def _ref_evaluate(a, point):
+    total = Fraction(0)
+    for key, coeff in a.items():
+        for var, exp in key:
+            coeff *= Fraction(point[var]) ** exp
+        total += coeff
+    return total
+
+
+def _ref_gradient(a, point):
+    names = {v for key in a for v, _ in key}
+    values = {v: _ref_evaluate(_ref_derivation(a, {v: 1}), point) for v in names}
+    return {v: value for v, value in values.items() if value}
+
+
+def _ref_coefficients(a, var):
+    parts = [{} for _ in range(max((dict(key).get(var, 0) for key in a), default=-1) + 1)]
+    for key, coeff in a.items():
+        parts[dict(key).get(var, 0)][tuple(pair for pair in key if pair[0] != var)] = coeff
+    return parts
+
+
+def _ref_primitive(a):
+    if not a:
+        return {}
+    content = Fraction(
+        gcd(*(c.numerator for c in a.values())), lcm(*(c.denominator for c in a.values()))
+    )
+    return {key: coeff / content for key, coeff in a.items()}
+
+
+def _ref_substitute(a, subs):
+    out = {}
+    for key, coeff in a.items():
+        term = {(): coeff}
+        for var, exp in key:
+            factor = subs[var] if var in subs else {((var, 1),): Fraction(1)}
+            term = _ref_product(term, _ref_power(factor, exp))
+        out = _ref_sum(out, term)
+    return out
+
+
+def _mixed_poly(rng, names, terms):
+    """Integer coefficients half of the time, rational ones otherwise."""
+    integer = rng.random() < 0.5
+    return Polynomial.from_terms(
+        [
+            (
+                {v: rng.randint(0, 3) for v in rng.sample(names, rng.randint(0, len(names)))},
+                rng.randint(-9, 9) if integer else Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+            )
+            for _ in range(terms)
+        ]
+    )
+
+
+def test_operations_agree_with_a_fraction_reference():
+    rng = random.Random(107)
+    names = ["u", "v", "w"]
+    points = [Fraction(0), 1, -2, 3, Fraction(2, 3), Fraction(-5, 4)]
+    for _ in range(200):
+        f = _mixed_poly(rng, names, rng.randint(0, 5))
+        g = _mixed_poly(rng, names, rng.randint(0, 4))
+        a, b = _ref(f), _ref(g)
+        var = rng.choice(names)
+        images = {v: rng.choice(names + [1]) for v in rng.sample(names, 2)}
+        point = {v: rng.choice(points) for v in names}
+        assert _ref(f + g) == _ref_sum(a, b)
+        assert _ref(f - g) == _ref_sum(a, b, -1)
+        assert _ref(-f) == _ref_sum({}, a, -1)
+        assert _ref(f * g) == _ref_product(a, b)
+        assert _ref(f ** 2) == _ref_power(a, 2)
+        assert _ref(g ** 3) == _ref_power(b, 3)
+        assert _ref(f.derivation(images)) == _ref_derivation(a, images)
+        assert _ref(f.primitive_part()) == _ref_primitive(a)
+        assert [_ref(c) for c in f.coefficients_in(var)] == _ref_coefficients(a, var)
+        assert _ref(f.substitute({var: g})) == _ref_substitute(a, {var: b})
+        assert f.evaluate(point) == _ref_evaluate(a, point)
+        assert f.gradient_at(point) == _ref_gradient(a, point)
+        if not g.is_zero():
+            assert _ref((f * g).exact_quotient(g)) == a
+        scale = rng.choice([3, Fraction(-2, 5), Fraction(7)])
+        assert _ref((f * scale).exact_quotient(Polynomial.constant(scale))) == a
+        for result in (f + g, f * g, f.primitive_part(), f.derivation(images)):
+            _assert_canonical(result)
+
+
+def test_equal_values_built_by_different_routes_compare_and_hash_equal():
+    pairs = [
+        (P("1/2*x") * 2, P("x")),
+        (P("2/4*x"), P("1/2*x")),
+        (P("1/2*x") + P("1/2*x"), P("x")),
+        (P("1/3*x + 1/6") * 6, P("2*x + 1")),
+        (P("1/6*x^2").partial_derivative("x"), P("1/3*x")),
+        (P("3/4*x*y + 3/4*y").coefficient_in("x", 0), P("3/4*y")),
+        (P("2*x^2 - 2").exact_quotient(P("4*x + 4")), P("1/2*x - 1/2")),
+        (P("1/2*x - 1/2*x"), Polynomial.zero()),
+        (Polynomial({(("x", 1),): Fraction(3, 3), (): Fraction(-4, 6)}), P("x - 2/3")),
+    ]
+    for left, right in pairs:
+        assert left == right and hash(left) == hash(right)
+        assert str(left) == str(right)
+    assert P("4/2") == 2 and P("1/2") * 2 == 1
+    # a shared denominator is part of the value
+    assert P("1/2*x") != P("x") and P("1/3*x + 1/3") != P("x + 1")
+    assert P("1/2") != 1
+
+
+def test_public_accessors_return_fractions():
+    integer = P("3*x^2*y - 2*y + 5")
+    rational = P("1/2*x^2 + 2/3*y")
+    for f in (integer, rational):
+        assert all(type(coeff) is Fraction for _, coeff in f.ordered_terms())
+        assert type(f.evaluate({"x": 2, "y": -1})) is Fraction
+        assert all(type(value) is Fraction for value in f.gradient_at({"x": 2, "y": 3}).values())
+    assert integer.gradient_at({"x": 2, "y": 3}) == {"x": Fraction(36), "y": Fraction(10)}
+    assert rational.gradient_at({"x": 3, "y": 1}) == {"x": Fraction(3), "y": Fraction(2, 3)}
+    assert type(P("7").constant_value()) is Fraction
+    assert type(Polynomial.zero().constant_value()) is Fraction
+    assert P("3/6").constant_value() == Fraction(1, 2)
+
+
+def test_integer_arithmetic_builds_no_fraction(monkeypatch):
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    f, g = P("3*x^2*y - 2*y + 5"), P("x*y - 7")
+    monkeypatch.setattr(poly, "Fraction", Counting)
+    h = (f + g) * g - f ** 2 + 4
+    h.derivation({"x": "y", "y": 1})
+    h.coefficients_in("x")
+    assert (h * g).exact_quotient(g) == h
+    assert (6 * h).primitive_part() == h.primitive_part()
+    assert built == []

@@ -435,6 +435,35 @@ def test_lone_pivot_too_large_to_enumerate_stays_residual():
     assert outcome.solutions == [] and outcome.residual_system == [pivot]
 
 
+def test_small_rational_roots_beside_coefficients_too_large_to_enumerate():
+    """Beyond the enumeration limit small numerators and denominators are
+    still tried: the verified root is returned, and the factor without
+    rational roots keeps the outcome residual."""
+    factor = P("x^2 + 10000000000007")
+    outcome = solve_overdetermined(
+        [P("x + 3") * factor, P("x + 3") * factor * P("x - 5")], ("x",)
+    )
+    assert outcome.status == "residual"
+    assert outcome.solutions == [{"x": Fraction(-3)}]
+    assert outcome.residual_system == [P("x + 3") * factor]
+    outcome = solve_overdetermined(
+        [P("2*x + 3") * factor, P("2*x + 3") * factor * P("x - 5")], ("x",)
+    )
+    assert outcome.status == "residual"
+    assert outcome.solutions == [{"x": Fraction(-3, 2)}]
+
+
+def test_free_variable_over_inconsistent_equations_is_inconsistent():
+    # y occurs nowhere; no x satisfies the rest, so no point does
+    outcome = solve_overdetermined([P("x - 1"), P("x - 2"), P("x - 3")], ("x", "y"))
+    assert outcome.status == "inconsistent"
+    assert outcome.solutions == [] and outcome.conditions == []
+    # with consistent equations left, the free variable stays degenerate
+    outcome = solve_overdetermined([P("x - 1"), P("x - 1"), P("2*x - 2")], ("x", "y"))
+    assert outcome.status == "degenerate"
+    assert outcome.residual_system == [P("x - 1"), P("x - 1"), P("2*x - 2")]
+
+
 # The planted-solve benchmark's labelled 3-variable degree-3 case, whose
 # root is (-3, -3, 1).
 RUNAWAY_3VAR = [
