@@ -78,8 +78,9 @@ def _over_common_denominator(
     values: Mapping[Term, int | Fraction],
 ) -> tuple[dict[Term, int], int]:
     """Integer numerators over the lcm of the denominators of ``values``.
-    Every prime of that lcm divides it no more often than the denominator
-    that has it most, so no factor is shared with every numerator."""
+    They need no gcd normalisation: the full power of each prime in the lcm
+    comes from one value's denominator, and that value's numerator is prime
+    to it."""
     den = lcm(*(c.denominator for c in values.values()))
     return {key: c.numerator * (den // c.denominator) for key, c in values.items()}, den
 
@@ -384,9 +385,10 @@ class Polynomial:
                     raise MissingAssignmentError(var)
             product = 1
             for var, exp in key:
-                value = _integral(point[var])
+                value = point[var]
                 if not value:
                     break
+                value = _integral(value)
                 product *= value if exp == 1 else value ** exp
             else:
                 total += coeff * product
@@ -462,8 +464,9 @@ class Polynomial:
             for var, exp in key:
                 if var not in point:
                     raise MissingAssignmentError(var)
-                x = _integral(point[var])
+                x = point[var]
                 if x:
+                    x = _integral(x)
                     product *= x if exp == 1 else x ** exp
                 else:
                     zeros += exp

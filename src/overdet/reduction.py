@@ -544,7 +544,8 @@ def solve_overdetermined(
     Points on loci where a recorded side condition vanishes are not
     enumerated (the corresponding branches are skipped, not explored).  A
     variable that no remaining equation involves stops the solve there as
-    ``degenerate``.
+    ``degenerate``, or as ``inconsistent`` when the remaining equations have
+    no solution over the variables left.
     """
     polys = list(system)
     if variables is None:
