@@ -376,7 +376,9 @@ class Polynomial:
         is zero.  A term stops at its first zero factor and adds nothing;
         otherwise its numerator multiplies the product of the point values
         once (an integral ``Fraction`` taken as its int numerator), and the
-        sum is divided by the denominator at the end.
+        sum is divided by the denominator at the end.  At the first
+        non-integral value the whole sum is taken over a common denominator
+        instead, so that it stays in ints too.
         """
         total = 0
         for key, coeff in self._terms.items():
@@ -388,11 +390,43 @@ class Polynomial:
                 value = point[var]
                 if not value:
                     break
-                value = _integral(value)
+                if type(value) is Fraction:
+                    if value.denominator != 1:
+                        return self._evaluate_over_denominators(point)
+                    value = value.numerator
                 product *= value if exp == 1 else value ** exp
             else:
                 total += coeff * product
         return self._scalar(total)
+
+    def _evaluate_over_denominators(self, point: Mapping[str, ScalarLike]) -> Fraction:
+        """``evaluate`` at a point with non-integral values, with each value
+        taken as ``n/d``: over ``D``, the product of ``d**top`` where top is
+        the variable's largest exponent, a term is its numerator times the
+        ``n**e`` of its factors times ``D`` over their ``d**e``."""
+        tops: dict[str, int] = {}
+        for key in self._terms:
+            for var, exp in key:
+                if var not in point:
+                    raise MissingAssignmentError(var)
+                if exp > tops.get(var, 0):
+                    tops[var] = exp
+        values = {var: Fraction(point[var]) for var in tops}
+        common = 1
+        for var, top in tops.items():
+            common *= values[var].denominator ** top
+        total = 0
+        for key, coeff in self._terms.items():
+            numerator, denominator = coeff, 1
+            for var, exp in key:
+                value = values[var]
+                if not value:
+                    break
+                numerator *= value.numerator ** exp
+                denominator *= value.denominator ** exp
+            else:
+                total += numerator * (common // denominator)
+        return Fraction(total, common * self._den)
 
     def substitute(self, replacements: Mapping[str, "Polynomial | ScalarLike"]) -> "Polynomial":
         """Replace variables by polynomials (or scalars); others stay symbolic."""

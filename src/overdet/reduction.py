@@ -12,10 +12,13 @@ a time, the last variable included: every equation is viewed through its
 coefficients in the chosen variable (polynomials in the remaining ones) and
 reduced against a pivot by pseudo-remainders, so that all arithmetic stays
 in the polynomial ring.  Factors known to divide are divided out exactly,
-as in Collins' (1967) reduced remainder sequence.  With no variable left, a
-nonzero constant means the system is inconsistent.  Each level's pivot then
-gives its variable at each solution of the rest: directly when it is
-linear, by its rational roots otherwise.
+as in Collins' (1967) reduced remainder sequence.  A level whose equations
+involve no other variable is their gcd instead, found through integer gcds
+of their values (GCDHEU, Char, Geddes and Gonnet 1989) without the
+coefficient growth of a remainder sequence, which stays as its fallback.
+With no variable left, a nonzero constant means the system is
+inconsistent.  Each level's pivot then gives its variable at each solution
+of the rest: directly when it is linear, by its rational roots otherwise.
 Every pivot leading coefficient is asserted nonzero and recorded as a side
 condition; results are complete only on the locus where all recorded
 conditions hold.  Nonzero constant conditions hold everywhere and are left
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -48,6 +52,7 @@ LINEAR_SOLVE = "linear-solve"
 INCONSISTENCY = "inconsistency"
 RESIDUAL_STEP = "residual"
 BRANCH_SKIPPED = "branch-skipped"
+GCD = "gcd"
 
 
 @dataclass(frozen=True)
@@ -335,11 +340,16 @@ def _pseudo_remainder(dividend: Polynomial, divisor: Polynomial, var: str) -> Po
     leading coefficient once, whether or not its coefficient was zero."""
     degree = divisor.degree_in(var)
     lead = divisor.coefficient_in(var, degree)
+    gap = dividend.degree_in(var) - degree
+    # powers[k] is var**(k + 1), all from one constructed variable
+    powers = [Polynomial.variable(var)] if gap else []
+    while len(powers) < gap:
+        powers.append(powers[-1] * powers[0])
     remainder = dividend
-    for shift in range(dividend.degree_in(var) - degree, -1, -1):
+    for shift in range(gap, -1, -1):
         top = remainder.coefficient_in(var, degree + shift)
         if shift:
-            top = top * Polynomial({((var, shift),): 1})
+            top = top * powers[shift - 1]
         remainder = remainder * lead - divisor * top
     return remainder
 
@@ -362,10 +372,114 @@ class _EliminationResult:
     duplicates_only: bool  # every reduced equation was a constant multiple of its pivot
 
 
+# -- a univariate level as a gcd ----------------------------------------------
+
+
+# evaluation points tried before the pseudo-remainder loop takes over
+_HEURISTIC_GCD_TRIES = 6
+
+
+def _integer_coefficients(poly: Polynomial, var: str) -> list[int]:
+    """Ascending integer coefficients of the primitive part of ``poly``."""
+    return [int(c.constant_value()) for c in poly.primitive_part().coefficients_in(var)]
+
+
+def _value_at(coeffs: Sequence[int], point: int) -> int:
+    value = 0
+    for coeff in reversed(coeffs):
+        value = value * point + coeff
+    return value
+
+
+def _divides(divisor: Sequence[int], dividend: Sequence[int]) -> bool:
+    """Whether the primitive ``divisor`` divides ``dividend`` over Z: by
+    Gauss's lemma every quotient coefficient is then an integer."""
+    remainder = list(dividend)
+    degree = len(divisor) - 1
+    for top in range(len(remainder) - 1, degree - 1, -1):
+        factor, rest = divmod(remainder[top], divisor[-1])
+        if rest:
+            return False
+        if factor:
+            for k, coeff in enumerate(divisor):
+                remainder[top - degree + k] -= factor * coeff
+    return not any(remainder[:degree])
+
+
+def _heuristic_gcd(f: Sequence[int], g: Sequence[int]) -> list[int] | None:
+    """The gcd of two primitive integer polynomials (ascending coefficient
+    lists), primitive with a positive lead, by GCDHEU (Char, Geddes and
+    Gonnet 1989): the integer gcd of their values at xi, read back as
+    symmetric xi-adic digits.  With xi >= 2*min(|f|, |g|) + 2, |f| the
+    largest coefficient of f in absolute value, the primitive part of that
+    reading is their gcd when it divides both.  Otherwise xi grows by the paper's factor 73794/27011;
+    None when no xi tried gives the gcd."""
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
+    for _ in range(_HEURISTIC_GCD_TRIES):
+        # xi is beyond every integer root of the input of least norm, so
+        # h > 0, and the top digit of a positive h is positive
+        h = gcd(_value_at(f, xi), _value_at(g, xi))
+        digits = []
+        while h:
+            digit = h % xi
+            if 2 * digit > xi:
+                digit -= xi
+            digits.append(digit)
+            h = (h - digit) // xi
+        content = gcd(*digits)
+        candidate = [digit // content for digit in digits]
+        if _divides(candidate, f) and _divides(candidate, g):
+            return candidate
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _eliminate_by_gcd(
+    equations: list[Polynomial], positive: list[int], var: str
+) -> _EliminationResult | None:
+    """Eliminate ``var`` from equations in ``var`` alone: the equations of
+    positive degree (indices ``positive``) share exactly the roots of their
+    gcd.  The pivot is that gcd, or the equation of least degree when it
+    divides every other (then only duplicates were reduced); the others
+    become 0, or one nonzero constant when the gcd is 1.  Equations free of
+    ``var`` pass unchanged.  None when the heuristic gcd gives up."""
+    pivot_index = min(positive, key=lambda i: (equations[i].degree_in(var), i))
+    pivot_coefficients = _integer_coefficients(equations[pivot_index], var)
+    common = pivot_coefficients
+    for index in positive:
+        if index == pivot_index:
+            continue
+        found = _heuristic_gcd(common, _integer_coefficients(equations[index], var))
+        if found is None:
+            return None
+        common = found
+        if len(common) == 1:
+            break
+    divisor = Polynomial({((var, k),): coeff for k, coeff in enumerate(common)}, (var,))
+    duplicates_only = len(common) == len(pivot_coefficients)
+    pivot = equations[pivot_index]
+    left = {index: Polynomial.zero() for index in positive if index != pivot_index}
+    if len(common) == 1:
+        # no common root: the level below sees a nonzero constant
+        left[next(iter(left))] = divisor
+    elif not duplicates_only:
+        pivot = divisor
+    step = ReductionStep(GCD, tuple(equations[i] for i in positive), (divisor,))
+    return _EliminationResult(
+        reduced=[left.get(i, e) for i, e in enumerate(equations) if i != pivot_index],
+        conditions=[],
+        steps=[step],
+        pivot=pivot,
+        duplicates_only=duplicates_only,
+    )
+
+
 def _eliminate(system: Sequence[Polynomial], var: str) -> _EliminationResult:
     """Reduce every equation but one to be free of ``var``.
 
-    The pivot is the equation of least positive degree; every other
+    When every equation involves ``var`` alone, the level is their gcd
+    (``_eliminate_by_gcd``), with the loop below as its fallback.  There
+    the pivot is the equation of least positive degree; every other
     equation of at least its degree is replaced by its pseudo-remainder.
     When the pivot is itself ``prem(E, P)`` and ``P`` is reduced against it,
     the step continues a reduced remainder sequence, and the known factor,
@@ -375,8 +489,13 @@ def _eliminate(system: Sequence[Polynomial], var: str) -> _EliminationResult:
     stay complete where the recorded conditions hold.
     """
     equations = list(system)
-    if all(e.degree_in(var) < 1 for e in equations):
+    positive = [i for i, e in enumerate(equations) if e.degree_in(var) >= 1]
+    if not positive:
         raise AllDegreeZeroError(f"no equation involves {var}")
+    if len(positive) > 1 and all(e.variables() in ((), (var,)) for e in equations):
+        result = _eliminate_by_gcd(equations, positive, var)
+        if result is not None:
+            return result
     made: list[_Remainder | None] = [None] * len(equations)
     conditions: list[SideCondition] = []
     steps: list[ReductionStep] = []
@@ -537,7 +656,8 @@ def solve_overdetermined(
     """Solve a system of at least m+1 polynomial equations in m variables.
 
     Variables are eliminated from the last one down, each by the same
-    pseudo-remainder kernel, until no variable is left: a nonzero constant
+    pseudo-remainder kernel or, once the equations involve that variable
+    alone, by their gcd, until no variable is left: a nonzero constant
     there means inconsistent.  Solved values are back-substituted in reverse
     order through each level's pivot (its rational roots) and every returned
     point is re-verified by exact evaluation against the input system.

@@ -578,6 +578,29 @@ def test_operations_agree_with_a_fraction_reference():
             _assert_canonical(result)
 
 
+def test_evaluate_at_non_integral_and_mixed_points_agrees_with_the_reference():
+    """Points whose values are all non-integral, mixed with ints, integral
+    ``Fraction``s and zeros, against the plain ``Fraction`` reference."""
+    rng = random.Random(149)
+    names = ["u", "v", "w"]
+    fractions = [Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5), Fraction(-11, 12),
+                 Fraction(3, 10 ** 12 + 39)]
+    others = [0, Fraction(0), 2, -3, Fraction(4), Fraction(-1)]
+    for index in range(300):
+        f = _mixed_poly(rng, names, rng.randint(0, 6))
+        if index % 2:
+            point = {v: rng.choice(fractions) for v in names}
+        else:
+            point = {v: rng.choice(fractions + others) for v in names}
+        value = f.evaluate(point)
+        assert value == _ref_evaluate(_ref(f), point)
+        assert type(value) is Fraction
+    with pytest.raises(MissingAssignmentError):
+        P("x + y^2").evaluate({"x": Fraction(1, 2)})
+    with pytest.raises(MissingAssignmentError):
+        P("x + x*y").evaluate({"x": Fraction(1, 2), "z": 0})
+
+
 def test_equal_values_built_by_different_routes_compare_and_hash_equal():
     pairs = [
         (P("1/2*x") * 2, P("x")),

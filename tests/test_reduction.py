@@ -12,6 +12,7 @@ from overdet.errors import (
     NotUnivariateError,
     SystemShapeError,
 )
+from overdet import reduction
 from overdet.oracle import gcd_univariate, rational_root_search
 from overdet.poly import Polynomial, parse_polynomial
 from overdet.reduction import (
@@ -642,3 +643,135 @@ def test_solve_accounts_for_every_small_rational_root():
                 or any(c.evaluate(root) == 0 for c in conditions)
             ), (system, root, outcome.status)
     assert roots_seen >= len(cases)
+
+
+# -- a univariate level as a gcd -------------------------------------------------
+
+
+def _integer_univariate(rng, degree, bits):
+    """A random integer polynomial in x of exactly ``degree``, coefficients
+    of up to ``bits`` bits."""
+    coeffs = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(degree)]
+    coeffs.append(rng.choice([-1, 1]) * rng.randint(1, 2 ** bits))
+    return Polynomial({(("x", k),): c for k, c in enumerate(coeffs)}, ("x",))
+
+
+def _gcd_cases(seed):
+    """Pairs with a planted common factor, coprime pairs and pairs where one
+    divides the other, at 4-, 20- and 80-bit coefficients; each inside a
+    list that sometimes also holds a zero and a constant equation."""
+    rng = random.Random(seed)
+    for index, kind in enumerate(["planted", "coprime", "divides"] * 12):
+        bits = (4, 20, 80)[index % 3]
+        common = _integer_univariate(rng, rng.randint(1, 4), bits)
+        if kind == "coprime":
+            common = Polynomial.constant(1)
+        f = common * _integer_univariate(rng, rng.randint(1, 5), bits)
+        cofactor = _integer_univariate(rng, rng.randint(1, 5), bits)
+        g = f * cofactor if kind == "divides" else common * cofactor
+        equations = [f, g]
+        if index % 2:
+            equations.insert(rng.randint(0, 2), Polynomial.zero())
+            equations.insert(rng.randint(0, 3), Polynomial.constant(rng.randint(1, 9)))
+        yield f, g, equations
+
+
+def _scale_of(f, g):
+    """The rational r with f == r * g, or None."""
+    ratio = f.ordered_terms()[0][1] / g.ordered_terms()[0][1]
+    return ratio if f == g * ratio else None
+
+
+def test_univariate_level_is_the_gcd_of_its_equations():
+    """Differential check of the gcd kernel against the oracle's Euclidean
+    gcd: the level records one gcd step and no condition, its output is the
+    gcd up to a rational scale (primitive, positive lead), equations free of
+    x pass unchanged, and the others reduce to 0 or, for a gcd of 1, leave
+    one nonzero constant."""
+    for f, g, equations in _gcd_cases(131):
+        result = _eliminate(equations, "x")
+        expected = gcd_univariate(f, g, "x")
+        assert [step.kind for step in result.steps] == ["gcd"]
+        assert result.steps[0].inputs == (f, g)
+        found = result.steps[0].outputs[0]
+        assert _scale_of(found, expected) is not None
+        assert found == found.primitive_part() and found.ordered_terms()[0][1] > 0
+        assert result.conditions == []
+        degree = expected.degree_in("x")
+        first, second = sorted((f, g), key=lambda p: p.degree_in("x"))
+        duplicates = degree == first.degree_in("x")
+        assert result.duplicates_only == duplicates
+        assert result.pivot is (first if duplicates or degree == 0 else found)
+        rest = Polynomial.constant(1) if degree == 0 else Polynomial.zero()
+        assert result.reduced == [rest if p is second else p for p in equations if p is not first]
+
+
+def test_univariate_gcd_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for f, g, equations in _gcd_cases(137):
+        found = _eliminate(equations, "x").steps[0].outputs[0]
+        reference = sympy.gcd(_to_sympy(f, sympy), _to_sympy(g, sympy))
+        ours = sympy.Poly(_to_sympy(found, sympy), x)
+        assert ours.degree() == sympy.Poly(reference, x).degree()
+        assert sympy.simplify(ours.as_expr() / reference).is_Rational
+
+
+def test_heuristic_gcd_grows_its_evaluation_point(monkeypatch):
+    # -(x+2)*(x+3) and (3*x-1)*(x+2): at xi = 12 the integer gcd 70 reads
+    # back as 6*x - 2, whose primitive part divides neither
+    f, g = [-6, -5, -1], [-2, 5, 3]
+    assert reduction._heuristic_gcd(f, g) == [2, 1]
+    monkeypatch.setattr(reduction, "_HEURISTIC_GCD_TRIES", 1)
+    assert reduction._heuristic_gcd(f, g) is None
+
+
+def test_pseudo_remainders_take_over_when_the_heuristic_gives_up(monkeypatch):
+    """With the heuristic gcd made to fail, the same solves run through the
+    pseudo-remainder loop and reach the same statuses and solutions, with
+    residual pivots equal up to a rational scale."""
+    rng = random.Random(139)
+    cases = [(("x",), [P("(x-2)*(x^2+3)*(x+1)"), P("(x-2)*(x^2+3)*(x-4)")]),
+             (("x",), [P("x^2 - 1"), P("x^2 - 4")]),
+             (("x", "y"), [P("y - 1"), P("y - 1"), P("y^2 - 1")])]
+    cases += [(("x",), _planted_system(rng, ("x",), d)) for d in range(2, 9)] * 2
+    cases += [(("x", "y"), _planted_system(rng, ("x", "y"), d)) for d in (2, 3)] * 4
+    expected = [solve_overdetermined(system, names) for names, system in cases]
+    assert any(step.kind == "gcd" for outcome in expected for step in outcome.trace)
+    monkeypatch.setattr(reduction, "_heuristic_gcd", lambda f, g: None)
+    for (names, system), before in zip(cases, expected):
+        after = solve_overdetermined(system, names)
+        assert all(step.kind != "gcd" for step in after.trace)
+        assert (after.status, after.solutions) == (before.status, before.solutions)
+        assert len(after.residual_system) == len(before.residual_system)
+        for old, new in zip(before.residual_system, after.residual_system):
+            assert _scale_of(new, old) is not None
+
+
+def test_univariate_pivot_is_the_gcd_with_a_positive_lead():
+    outcome = solve_overdetermined(
+        [P("(x-2)*(x^2+3)*(x+1)"), P("(x-2)*(x^2+3)*(x-4)")], ("x",)
+    )
+    assert outcome.status == "residual"
+    assert outcome.solutions == [{"x": Fraction(2)}]
+    assert [str(p) for p in outcome.residual_system] == ["x^3 - 2*x^2 + 3*x - 6"]
+    assert outcome.trace[0].kind == "gcd" and outcome.conditions == []
+    # coprime equations leave a nonzero constant: no x satisfies both
+    outcome = solve_overdetermined([P("x^2 - 1"), P("x^2 - 4"), P("x^3 - 8")], ("x",))
+    assert outcome.status == "inconsistent"
+
+
+def test_runaway_solve_keeps_its_coefficients_small():
+    """The labelled 3-variable degree-3 system: its last level is a gcd, so
+    no trace polynomial grows past a few hundred bits (a pseudo-remainder
+    sequence there reached 29,466)."""
+    outcome = solve_overdetermined([P(text) for text in RUNAWAY_3VAR], ("x", "y", "z"))
+    assert outcome.status == "residual"
+    assert outcome.solutions == [{"x": Fraction(-3), "y": Fraction(-3), "z": Fraction(1)}]
+    bits = max(
+        max(abs(coeff.numerator).bit_length(), coeff.denominator.bit_length())
+        for step in outcome.trace
+        for poly in step.inputs + step.outputs
+        for _, coeff in poly.ordered_terms()
+    )
+    assert bits < 1000
