@@ -237,14 +237,22 @@ class IndexCodec:
                 )
 
     def iter_equations(self) -> Iterator[tuple[int, int, MultiIndex]]:
-        for index in range(1, self.equation_count + 1):
-            k, i = self.decode_equation(index)
-            yield index, k, i
+        return self._enumerate(self.p + self.n, self._i_sizes())
 
     def iter_unknowns(self) -> Iterator[tuple[int, int, MultiIndex]]:
-        for index in range(1, self.unknown_count + 1):
-            v, j = self.decode_unknown(index)
-            yield index, v, j
+        return self._enumerate(self.p, self._j_sizes())
+
+    @staticmethod
+    def _enumerate(width: int, sizes: tuple[int, ...]) -> Iterator[tuple[int, int, MultiIndex]]:
+        """Every (index, head, parts) in index order: the head varies
+        fastest, then the first part, and the last part slowest."""
+        index = 0
+        ranges = [range(size) for size in reversed(sizes)]
+        for reversed_parts in itertools.product(*ranges):
+            parts = reversed_parts[::-1]
+            for head in range(1, width + 1):
+                index += 1
+                yield index, head, parts
 
 
 # -- total derivative ----------------------------------------------------------
@@ -261,38 +269,69 @@ def total_derivative(
     partial.  Shifted indices must stay within the codec's extended range."""
     if not 1 <= s <= codec.m:
         raise IndexRangeError(f"direction {s} outside 1..{codec.m}")
-    limits = tuple(order + 1 for order in codec.orders)  # extended j bound
-    images: dict[str, str | int] = {}
-    if len(base_vars) > s - 1:
-        images[base_vars[s - 1]] = 1
-    for var in poly.variables():
-        parsed = _parse_and_shift(var, codec.m, s)
-        if parsed is None:
-            if var not in base_vars:
+    images = _jet_images(codec, s, tuple(base_vars))
+    try:
+        return poly.derivation(images)
+    except (IndexRangeError, IndexError):
+        # report the first bad name in table order, not in term order (a
+        # jet of the wrong length can fail to shift with an IndexError)
+        for var in poly.variables():
+            images.get(var)
+        raise
+
+
+#: names one memo of jet images keeps at most; jet names are bounded by the
+#: codec's range, apart from the function index
+_MEMO_NAMES = 1 << 14
+
+
+class _JetImages(dict):
+    """The images of ``total_derivative`` along one direction of one codec,
+    resolved and validated on first use: a jet's name maps to its shifted
+    name, the direction's base variable to 1 and other base variables to
+    None.  A name that is neither raises ``IndexRangeError`` every time it
+    is asked for, and nothing is stored for it."""
+
+    # ``get`` is dict lookup, so a name not yet seen reaches __missing__
+    get = dict.__getitem__
+
+    def __init__(self, codec: IndexCodec, s: int, base_vars: tuple[str, ...]):
+        super().__init__()
+        self.m = codec.m
+        self.s = s
+        self.base_vars = base_vars
+        self.limits = tuple(order + 1 for order in codec.orders)  # extended j bound
+
+    def __missing__(self, var: str) -> str | int | None:
+        jet = parse_jet_name(var, self.m)
+        if jet is None:
+            if var not in self.base_vars:
                 raise IndexRangeError(
                     f"variable {var!r} is neither a jet token nor a declared base variable"
                 )
-            continue
-        jet, shifted = parsed
-        for position, (component, limit) in enumerate(zip(jet.j, limits), start=1):
-            if component > limit:
+            direction = self.base_vars[self.s - 1 : self.s]
+            image = 1 if direction == (var,) else None
+        else:
+            image = jet.shifted(self.s).name
+            for position, (component, limit) in enumerate(zip(jet.j, self.limits), start=1):
+                if component > limit:
+                    raise IndexRangeError(
+                        f"jet {var} component {position} is {component}, allowed 0..{limit}"
+                    )
+            if jet.j[self.s - 1] + 1 > self.limits[self.s - 1]:
                 raise IndexRangeError(
-                    f"jet {var} component {position} is {component}, allowed 0..{limit}"
+                    f"derivative of jet {var} along direction {self.s} leaves the extended range"
                 )
-        if jet.j[s - 1] + 1 > limits[s - 1]:
-            raise IndexRangeError(
-                f"derivative of jet {var} along direction {s} leaves the extended range"
-            )
-        images[var] = shifted
-    return poly.derivation(images)
+        if len(self) < _MEMO_NAMES:
+            self[var] = image
+        return image
 
 
-@functools.lru_cache(maxsize=4096)
-def _parse_and_shift(name: str, m: int, s: int) -> tuple[JetVar, str] | None:
-    """The jet a variable name denotes and the name of its shift along s;
-    prolongation meets the same few names in every equation it derives."""
-    jet = parse_jet_name(name, m)
-    return None if jet is None else (jet, jet.shifted(s).name)
+@functools.lru_cache(maxsize=64)
+def _jet_images(codec: IndexCodec, s: int, base_vars: tuple[str, ...]) -> _JetImages:
+    """The memo of jet images for one codec, direction and base-variable
+    tuple; prolongation meets the same names in every equation it derives."""
+    return _JetImages(codec, s, base_vars)
 
 
 # -- prolongation --------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import re
+from bisect import bisect_left
 from functools import reduce
 from fractions import Fraction
 from math import gcd, lcm
@@ -59,6 +60,15 @@ def _key_product(left: Term, right: Term) -> Term:
     for v, e in right:
         merged[v] = merged.get(v, 0) + e
     return tuple(sorted(merged.items()))
+
+
+def _times_variable(key: Term, var: str) -> Term:
+    """``key`` times one more factor of ``var``: a single pair inserted at
+    its place in the name order, or one exponent raised."""
+    index = bisect_left(key, (var,))  # (var,) sorts just before (var, e)
+    if index < len(key) and key[index][0] == var:
+        return key[:index] + ((var, key[index][1] + 1),) + key[index + 1:]
+    return key[:index] + ((var, 1),) + key[index:]
 
 
 def _merge_tables(left: tuple[str, ...], right: tuple[str, ...]) -> tuple[str, ...]:
@@ -451,13 +461,16 @@ class Polynomial:
 
         An image is a variable name, or 1 for the plain partial.  Each term
         ``c*m`` contributes ``c*e*(m/x)*image`` for each mapped variable x of
-        exponent e, all in one walk over the terms.
+        exponent e, all in one walk over the terms.  Images are read with
+        ``images.get``, once per occurrence, so a mapping that resolves
+        names on demand sees only the variables that occur.
         """
+        get = images.get
         acc: dict[Term, int] = {}
         mapped: set[str] = set()
         for key, coeff in self._terms.items():
             for index, (var, exp) in enumerate(key):
-                image = images.get(var)
+                image = get(var)
                 if image is None:
                     continue
                 mapped.add(var)
@@ -466,7 +479,7 @@ class Polynomial:
                 else:
                     lowered = key[:index] + key[index + 1:]
                 if image != 1:
-                    lowered = _key_product(lowered, ((image, 1),))
+                    lowered = _times_variable(lowered, image)
                 term = coeff * exp if exp > 1 else coeff
                 acc[lowered] = acc[lowered] + term if lowered in acc else term
         # new image names join the table in the order of their sources
@@ -480,40 +493,63 @@ class Polynomial:
         return Polynomial._canonical(acc, self._vars + added, self._den)
 
     def gradient_at(self, point: Mapping[str, ScalarLike]) -> dict[str, Fraction]:
-        """The nonzero first partials at a point, ``{variable: value}``.
+        """The nonzero first partials at a point, ``{variable: value}``;
+        every occurring variable must be assigned."""
+        _, partials = self._value_and_partials(point)
+        return {var: Fraction(value) for var, value in partials.items() if value}
 
-        One walk over the terms; every occurring variable must be assigned.
-        A term with two or more zero factors (``x^2`` at ``x = 0`` counts
-        twice) has every first partial zero there and adds nothing.  The
-        partials are summed over the numerators and divided by the
-        denominator at the end; integral ``Fraction`` values are taken as
-        ints, and an int product is divided by a factor it contains with
+    def _value_and_partials(
+        self, point: Mapping[str, ScalarLike]
+    ) -> tuple[ScalarLike, dict[str, ScalarLike]]:
+        """The value at a point and every first partial there, in one walk
+        over the terms: ``(value, partials)``, where ``partials`` holds every
+        occurring variable, with 0 where its partial vanishes.  The value
+        and the partials are ints where integral, ``Fraction`` otherwise.
+
+        Every occurring variable must be assigned.  A term with two or more
+        zero factors (``x^2`` at ``x = 0`` counts twice) has every first
+        partial zero there.  Sums run over the numerators and are divided by
+        the denominator at the end; integral ``Fraction`` values are taken
+        as ints, and an int product is divided by a factor it contains with
         ``//``.
         """
-        grad: dict[str, int | Fraction] = {}
+        value = 0
+        partials: dict[str, int | Fraction] = {}
         for key, coeff in self._terms.items():
             product = coeff
             zeros = 0
             zero_var = ""
             for var, exp in key:
-                if var not in point:
-                    raise MissingAssignmentError(var)
-                x = point[var]
+                try:
+                    x = point[var]
+                except KeyError:
+                    raise MissingAssignmentError(var) from None
                 if x:
-                    x = _integral(x)
+                    if type(x) is Fraction and x.denominator == 1:
+                        x = x.numerator
                     product *= x if exp == 1 else x ** exp
                 else:
                     zeros += exp
                     zero_var = var
             if zeros == 0:
+                value += product
                 exact = type(product) is int
                 for var, exp in key:
-                    x = _integral(point[var])
+                    x = point[var]
+                    if type(x) is Fraction and x.denominator == 1:
+                        x = x.numerator
                     term = product * exp // x if exact else product * exp / x
-                    grad[var] = grad[var] + term if var in grad else term
-            elif zeros == 1:
-                grad[zero_var] = grad[zero_var] + product if zero_var in grad else product
-        return {var: self._scalar(value) for var, value in grad.items() if value}
+                    partials[var] = partials[var] + term if var in partials else term
+                continue
+            for var, _ in key:
+                if var not in partials:
+                    partials[var] = 0
+            if zeros == 1:
+                partials[zero_var] += product
+        if self._den != 1:
+            value = _integral(Fraction(value, self._den))
+            partials = {var: _integral(Fraction(v, self._den)) for var, v in partials.items()}
+        return value, partials
 
     def degree_in(self, var: str) -> int:
         """Max exponent of ``var``; the zero polynomial reports -1."""

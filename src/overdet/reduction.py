@@ -412,9 +412,11 @@ def _heuristic_gcd(f: Sequence[int], g: Sequence[int]) -> list[int] | None:
     Gonnet 1989): the integer gcd of their values at xi, read back as
     symmetric xi-adic digits.  With xi >= 2*min(|f|, |g|) + 2, |f| the
     largest coefficient of f in absolute value, the primitive part of that
-    reading is their gcd when it divides both.  Otherwise xi grows by the paper's factor 73794/27011;
-    None when no xi tried gives the gcd."""
-    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
+    reading is their gcd when it divides both.  The first xi is
+    2*min(|f|, |g|) + 29, as in sympy: at the least admissible point small
+    inputs often share an integer factor by chance.  Otherwise xi grows by
+    the paper's factor 73794/27011; None when no xi tried gives the gcd."""
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
     for _ in range(_HEURISTIC_GCD_TRIES):
         # xi is beyond every integer root of the input of least norm, so
         # h > 0, and the top digit of a positive h is positive

@@ -543,3 +543,134 @@ def test_pde_system_validation():
         PdeSystem(p=1, n=1, base_vars=("x",), equations=(P("S2[1]"), P("S1[0]")))
     with pytest.raises(SystemShapeError):
         PdeSystem(p=1, n=1, base_vars=("x",), equations=(P("S1[1] - t"), P("S1[0]")))
+
+
+# -- memoized jet images against a separate validation pass --------------------
+
+
+def _reference_total_derivative(poly, s, codec, base_vars=()):
+    """The total derivative with every occurring name parsed and checked in a
+    pass of its own, in table order, before one derivation over a plain
+    image dict."""
+    if not 1 <= s <= codec.m:
+        raise IndexRangeError(f"direction {s} outside 1..{codec.m}")
+    limits = tuple(order + 1 for order in codec.orders)
+    images = {}
+    if len(base_vars) > s - 1:
+        images[base_vars[s - 1]] = 1
+    for var in poly.variables():
+        jet = parse_jet_name(var, codec.m)
+        if jet is None:
+            if var not in base_vars:
+                raise IndexRangeError(
+                    f"variable {var!r} is neither a jet token nor a declared base variable"
+                )
+            continue
+        shifted = jet.shifted(s).name
+        for position, (component, limit) in enumerate(zip(jet.j, limits), start=1):
+            if component > limit:
+                raise IndexRangeError(
+                    f"jet {var} component {position} is {component}, allowed 0..{limit}"
+                )
+        if jet.j[s - 1] + 1 > limits[s - 1]:
+            raise IndexRangeError(
+                f"derivative of jet {var} along direction {s} leaves the extended range"
+            )
+        images[var] = shifted
+    return poly.derivation(images)
+
+
+def _reference_prolong(system, orders, extended=False):
+    """Every equation index derived along the canonical path with the
+    reference total derivative."""
+    codec = IndexCodec(system.p, system.n, tuple(orders), extended=extended)
+    cache = {}
+
+    def generate(k, i):
+        if (k, i) not in cache:
+            if not any(i):
+                cache[k, i] = system.equations[k - 1]
+            else:
+                last = max(pos for pos, c in enumerate(i) if c)
+                lower = tuple(c - (pos == last) for pos, c in enumerate(i))
+                cache[k, i] = _reference_total_derivative(
+                    generate(k, lower), last + 1, codec, system.base_vars
+                )
+        return cache[k, i]
+
+    return {index: generate(k, i) for index, k, i in codec.iter_equations()}
+
+
+def _printed(equations):
+    return {index: (str(q), q.variable_table) for index, q in equations.items()}
+
+
+def test_prolong_with_the_memo_matches_the_reference_on_seeded_systems():
+    rng = random.Random(211)
+    for m in (1, 2, 3):
+        for _ in range(8):
+            system = _random_pde(rng, p=rng.randint(1, 2), m=m)
+            orders = tuple(rng.randint(1, 3 if m < 3 else 2) for _ in range(m))
+            extended = rng.random() < 0.5
+            prolonged = prolong(system, orders, extended=extended)
+            expected = _reference_prolong(system, orders, extended)
+            assert _printed(prolonged.equations) == _printed(expected)
+
+
+def test_codecs_with_different_orders_keep_separate_memos():
+    """S1[2] shifts to S1[3] under orders (3,) and leaves the range of
+    orders (1,); a memo shared between the two codecs would get one wrong."""
+    wide, narrow = IndexCodec(1, 1, (3,)), IndexCodec(1, 1, (1,))
+    poly = P("S1[2]*S1[0] - x*S1[1]")
+    for first, second in ((wide, narrow), (narrow, wide)):
+        jets._jet_images.cache_clear()
+        for codec in (first, second, first):
+            try:
+                expected = _reference_total_derivative(poly, 1, codec, ("x",))
+            except IndexRangeError as error:
+                with pytest.raises(IndexRangeError) as raised:
+                    total_derivative(poly, 1, codec, ("x",))
+                assert str(raised.value) == str(error)
+            else:
+                assert total_derivative(poly, 1, codec, ("x",)) == expected
+    # the same codec under another base-variable tuple: x is then undeclared
+    jets._jet_images.cache_clear()
+    assert total_derivative(poly, 1, wide, ("x",)) == P("S1[3]*S1[0] + S1[2]*S1[1] - S1[1] - x*S1[2]")
+    with pytest.raises(IndexRangeError, match="'x' is neither"):
+        total_derivative(poly, 1, wide, ("t",))
+    # two base variables, seeded: each direction of one codec has its memo
+    rng = random.Random(223)
+    codec_a, codec_b = IndexCodec(1, 2, (2, 3)), IndexCodec(1, 2, (3, 2))
+    for _ in range(20):
+        system = _random_pde(rng, p=1, m=2)
+        for codec in (codec_a, codec_b):
+            for s in (1, 2):
+                for equation in system.equations:
+                    assert total_derivative(equation, s, codec, system.base_vars) == (
+                        _reference_total_derivative(equation, s, codec, system.base_vars)
+                    )
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_index_range_errors_keep_their_messages(warm):
+    codec = IndexCodec(1, 1, (1,))
+    cases = [
+        (P("q + S1[0]"), "variable 'q' is neither a jet token nor a declared base variable"),
+        (P("S1[3]*x"), "jet S1[3] component 1 is 3, allowed 0..2"),
+        (P("S1[2] - S1[0]"), "derivative of jet S1[2] along direction 1 leaves the extended range"),
+        # two bad names: the first in table order is reported, not the first
+        # met in the walk over the terms
+        (Polynomial.from_terms([({"S1[3]": 1}, 1), ({"q": 1}, 2)], ("q", "S1[3]")),
+         "variable 'q' is neither a jet token nor a declared base variable"),
+    ]
+    jets._jet_images.cache_clear()
+    if warm:
+        total_derivative(P("S1[0]*S1[1] + x"), 1, codec, ("x",))
+    for poly, message in cases:
+        for _ in range(2):  # a failed name is not remembered as valid
+            with pytest.raises(IndexRangeError) as raised:
+                total_derivative(poly, 1, codec, ("x",))
+            assert str(raised.value) == message
+            with pytest.raises(IndexRangeError) as reference:
+                _reference_total_derivative(poly, 1, codec, ("x",))
+            assert str(reference.value) == message

@@ -278,6 +278,32 @@ def test_gradient_at_missing_assignment():
         P("x^2*y + x").gradient_at({"x": 0})
 
 
+def test_value_and_partials_in_one_walk_match_separate_walks():
+    """The fused walk gives evaluate's value, gradient_at's nonzero partials
+    and an entry for every occurring variable, as ints where integral."""
+    rng = random.Random(241)
+    names = ["x", "y", "z", "w"]
+    values = [0, 0, 0, 1, -2, 3, Fraction(3, 5), Fraction(-7, 2), Fraction(4)]
+    for _ in range(300):
+        f = _random_poly(rng, names)
+        point = {v: rng.choice(values) for v in names}
+        value, partials = f._value_and_partials(point)
+        assert value == f.evaluate(point)
+        assert set(partials) == set(f.variables())
+        assert {v: d for v, d in partials.items() if d} == f.gradient_at(point)
+        if all(Fraction(x).denominator == 1 for x in point.values()):
+            for number in (value, *partials.values()):
+                assert type(number) is int or number.denominator != 1
+    value, partials = P("3*x^2*y - 2*y + 5").primitive_part()._value_and_partials({"x": 2, "y": 0})
+    assert (value, partials) == (5, {"x": 0, "y": 10})
+    assert all(type(number) is int for number in (value, *partials.values()))
+    assert P("1/2*x^2 + 2/3*y")._value_and_partials({"x": 3, "y": Fraction(3)}) == (
+        Fraction(13, 2), {"x": 3, "y": Fraction(2, 3)}
+    )
+    with pytest.raises(MissingAssignmentError):
+        P("x^2*y + x")._value_and_partials({"x": 0})
+
+
 def test_derivation_is_sum_of_partials_times_images():
     rng = random.Random(59)
     names = ["a", "b", "c", "t"]

@@ -313,3 +313,110 @@ def test_sparse_jacobian_matches_dense_layout_and_rank():
         assert all(value for row in matrix.rows for value in row.values())
         assert exact_rank(matrix) == exact_rank(dense) == _naive_rank(dense)
 
+
+
+# -- fused certify walk and the rank's early exit ------------------------------
+
+
+def _anchored_system(rng, p, n, m):
+    """p+n first-order equations in which every term has a factor that
+    vanishes at a known jet point: an order-one jet, or ``S_v[0..0] - a_v``.
+    Total derivatives keep such a factor in every term, so the point (the
+    anchors a_v, every higher jet 0, base variables anywhere) solves every
+    prolonged equation."""
+    base = ("x", "y", "z")[:m]
+    zeroth = [f"S{v}[{','.join('0' * m)}]" for v in range(1, p + 1)]
+    firsts = [f"S{v}[{','.join(str(int(pos == s)) for pos in range(m))}]"
+              for v in range(1, p + 1) for s in range(m)]
+    anchor = {name: rng.choice((-2, -1, 1, 2)) for name in zeroth}
+    var = Polynomial.variable
+
+    def vanishing():
+        name = rng.choice(zeroth)
+        return var(name) - anchor[name]
+
+    equations = []
+    for k in range(p + n):
+        parts = [var(firsts[k % len(firsts)]) * var(rng.choice(zeroth)),
+                 var(rng.choice(firsts)) * var(rng.choice(base)),
+                 vanishing() * var(rng.choice(base)),
+                 vanishing()]
+        equation = Polynomial.zero()
+        for part in parts:
+            equation = equation + part * rng.choice([c for c in range(-4, 5) if c])
+        equations.append(equation)
+    system = PdeSystem(p=p, n=n, base_vars=base, equations=tuple(equations))
+    return system, anchor
+
+
+def _anchored_point(prolonged, anchor, rng):
+    point = {jet.name: Fraction(0) for jet in prolonged.unknowns().values()}
+    point.update({name: Fraction(value) for name, value in anchor.items()})
+    point.update({name: Fraction(rng.randint(1, 3)) for name in prolonged.base_vars})
+    return point
+
+
+@pytest.mark.parametrize("orders", [(3, 3, 3), (5, 5, 5)])
+def test_certify_agrees_with_its_separate_parts(orders):
+    rng = random.Random(sum(orders))
+    for _ in range(2):
+        system, anchor = _anchored_system(rng, p=1, n=2, m=3)
+        prolonged = prolong(system, orders)
+        point = _anchored_point(prolonged, anchor, rng)
+        report = certify(prolonged, point)
+        matrix = jacobian(prolonged, point)
+        assert report.rank == exact_rank(matrix)
+        assert report.n_s_real == count_active_unknowns(prolonged)
+        # the same rank from the transpose, which stops at another bound
+        columns = [list(col) for col in zip(*matrix.entries)]
+        assert report.rank == exact_rank(columns)
+        if orders == (3, 3, 3):
+            assert report.rank == _naive_rank(matrix.entries)
+        assert report.certified == (report.rank == report.n_s_real)
+
+
+def test_certify_reports_the_lowest_failing_equation_and_its_value():
+    rng = random.Random(229)
+    system, anchor = _anchored_system(rng, p=1, n=1, m=1)
+    prolonged = prolong(system, (3,))
+    point = _anchored_point(prolonged, anchor, rng)
+    for name in ("S1[2]", "S1[3]", "S1[1]"):
+        point[name] = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        values = [(index, equation.evaluate(point)) for index, equation in prolonged.equation_items()]
+        failing = [(index, value) for index, value in values if value]
+        assert failing
+        with pytest.raises(NotASolutionError) as raised:
+            certify(prolonged, point)
+        assert (raised.value.equation_index, raised.value.value) == failing[0]
+        assert type(raised.value.value) is Fraction
+
+
+def test_certify_missing_value_after_a_failing_equation_reports_the_failure():
+    system = _pair("S1[1] - S1[0]", "S1[1] - S1[0]*x")
+    prolonged = prolong(system, (1,))
+    # equation 1 is 1 != 0 at the point, equation 2 needs x
+    with pytest.raises(NotASolutionError) as raised:
+        certify(prolonged, {"S1[0]": Fraction(1), "S1[1]": Fraction(2)})
+    assert (raised.value.equation_index, raised.value.value) == (1, 1)
+    with pytest.raises(MissingAssignmentError) as missing:
+        certify(prolonged, {"S1[0]": Fraction(1), "S1[1]": Fraction(1)})
+    assert missing.value.variable == "x"
+
+
+def test_exact_rank_with_early_exit_matches_naive_rank():
+    rng = random.Random(233)
+    for _ in range(150):
+        n_cols = rng.randint(1, 7)
+        # tall: many surplus rows past full column rank
+        tall = _sparse_matrix(rng, rng.randint(n_cols + 5, 4 * n_cols + 10), n_cols,
+                              rng.choice([0.3, 0.6, 1.0]))
+        assert exact_rank(tall) == _naive_rank(tall)
+        # rank-deficient: rows from a product of thin factors, some columns empty
+        inner = rng.randint(1, max(1, n_cols - 1))
+        left = _sparse_matrix(rng, rng.randint(n_cols, 3 * n_cols + 3), inner, 0.7)
+        right = _sparse_matrix(rng, inner, n_cols, 0.7)
+        deficient = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*right)]
+                     for row in left]
+        for row in deficient:
+            row.append(Fraction(0))
+        assert exact_rank(deficient) == _naive_rank(deficient)

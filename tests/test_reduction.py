@@ -718,9 +718,9 @@ def test_univariate_gcd_agrees_with_sympy():
 
 
 def test_heuristic_gcd_grows_its_evaluation_point(monkeypatch):
-    # -(x+2)*(x+3) and (3*x-1)*(x+2): at xi = 12 the integer gcd 70 reads
-    # back as 6*x - 2, whose primitive part divides neither
-    f, g = [-6, -5, -1], [-2, 5, 3]
+    # -(x+2)*(4*x+1) and -(x+2)*(x+3): at xi = 41 the integer gcd
+    # 473 = 11*43 reads back as 12*x - 19, which divides neither
+    f, g = [-2, -9, -4], [-6, -5, -1]
     assert reduction._heuristic_gcd(f, g) == [2, 1]
     monkeypatch.setattr(reduction, "_HEURISTIC_GCD_TRIES", 1)
     assert reduction._heuristic_gcd(f, g) is None
