@@ -200,12 +200,11 @@ def cmd_solve(args, out: _Output) -> int:
         system = _load_pde(args.input)
         orders = _parse_orders(args.orders)
         prolonged = prolong(system, orders)
-        variables = [jet.name for _, jet in sorted(prolonged.unknowns().items())]
-        for _, poly in prolonged.equation_items():
-            for var in poly.variables():
-                if var not in variables:
-                    variables.append(var)  # base variables become unknowns too
         equations = [poly for _, poly in prolonged.equation_items()]
+        occurring = set().union(*(poly.variables() for poly in equations))
+        # base variables become unknowns too, in their declared order
+        variables = [jet.name for _, jet in sorted(prolonged.unknowns().items())]
+        variables += [var for var in system.base_vars if var in occurring]
         outcome = solve_overdetermined(equations, variables)
         data = formats.outcome_to_dict(outcome, variables)
         lines = _outcome_lines(outcome, variables, out.trace)

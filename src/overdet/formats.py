@@ -76,7 +76,7 @@ def parse_poly_file(text: str) -> tuple[tuple[str, ...], list[Polynomial]]:
             if variables is None:
                 raise PolynomialParseError("eq before vars line", line=number)
             try:
-                equations.append(parse_polynomial(rest, variables))
+                equations.append(parse_polynomial(rest))
             except PolynomialParseError as exc:
                 raise PolynomialParseError(str(exc), line=number) from exc
         else:

@@ -272,9 +272,8 @@ def total_derivative(
     images = _jet_images(codec, s, tuple(base_vars))
     try:
         return poly.derivation(images)
-    except (IndexRangeError, IndexError):
-        # report the first bad name in table order, not in term order (a
-        # jet of the wrong length can fail to shift with an IndexError)
+    except IndexRangeError:
+        # report the first bad name in name order, not in term order
         for var in poly.variables():
             images.get(var)
         raise
@@ -312,6 +311,10 @@ class _JetImages(dict):
             direction = self.base_vars[self.s - 1 : self.s]
             image = 1 if direction == (var,) else None
         else:
+            if len(jet.j) != self.m:
+                raise IndexRangeError(
+                    f"jet {var} multi-index {jet.j} has length {len(jet.j)}, expected {self.m}"
+                )
             image = jet.shifted(self.s).name
             for position, (component, limit) in enumerate(zip(jet.j, self.limits), start=1):
                 if component > limit:

@@ -50,7 +50,7 @@ def _remainder(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
 
 def _from_coeffs(coeffs: Sequence[Fraction], var: str) -> Polynomial:
     x = Polynomial.variable(var)
-    total = Polynomial.zero((var,))
+    total = Polynomial.zero()
     for power, coeff in enumerate(coeffs):
         total = total + x ** power * coeff
     return total
@@ -102,16 +102,13 @@ def rational_root_search(
     system: Iterable[Polynomial], bound: int, variables: Sequence[str] | None = None
 ) -> list[dict[str, Fraction]]:
     """All rational points p/q with |p| <= bound, 1 <= q <= bound that zero
-    every polynomial of the system.  Exhaustive over the candidate grid."""
+    every polynomial of the system.  Exhaustive over the candidate grid.
+    ``variables`` defaults to the occurring names in name order."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
     polys = list(system)
     if variables is None:
-        seen: dict[str, None] = {}
-        for poly in polys:
-            for var in poly.variables():
-                seen.setdefault(var)
-        variables = tuple(seen)
+        variables = tuple(sorted(set().union(*(poly.variables() for poly in polys))))
     candidates = sorted(
         {
             Fraction(numerator, denominator)

@@ -8,8 +8,8 @@ exponents, ``gcd(den, *numerators) == 1``, and ``den == 1`` for the zero
 polynomial).  Integer polynomials keep ``den == 1``, so their arithmetic
 runs on plain ints; the gcd normalisation only runs when ``den != 1``.
 Coefficients are read back as ``fractions.Fraction`` values.  Two
-polynomials are equal exactly when their values are, regardless of how
-their variable tables are ordered.
+polynomials are equal exactly when their values are.  Term keys, printing
+and :meth:`Polynomial.variables` all order variables by name.
 
 Text syntax accepted by :func:`parse_polynomial`: named variables combined
 with ``+ - * ^``, integer or rational literals such as ``-3/4``, parentheses
@@ -71,13 +71,6 @@ def _times_variable(key: Term, var: str) -> Term:
     return key[:index] + ((var, 1),) + key[index:]
 
 
-def _merge_tables(left: tuple[str, ...], right: tuple[str, ...]) -> tuple[str, ...]:
-    if left == right:
-        return left
-    seen = set(left)
-    return left + tuple(v for v in right if v not in seen)
-
-
 def _integral(value: ScalarLike) -> ScalarLike:
     """An integral ``Fraction`` as its int numerator, so that products with
     it stay in int arithmetic; any other value unchanged."""
@@ -98,24 +91,21 @@ def _over_common_denominator(
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    The variable table is an ordered tuple of names used for canonical term
-    ordering (graded lexicographic) and printing; it does not affect equality.
-    Tables are merged by name when two polynomials are combined.
+    A polynomial holds its terms and their shared denominator, nothing else:
+    :meth:`variables` lists the occurring names in name order.
     """
 
-    __slots__ = ("_vars", "_terms", "_den")
+    __slots__ = ("_terms", "_den")
 
     def __init__(
         self,
         terms: Mapping[TermLike, ScalarLike] | Iterable[tuple[TermLike, ScalarLike]] = (),
-        variables: Iterable[str] = (),
     ):
         """Build a polynomial from ``{term: coefficient}`` data, or from an
         iterable of such items, where a term is ``(variable, exponent)``
         pairs in any order or a ``{variable: exponent}`` mapping.  Zero
         exponents drop, duplicate terms are summed and zero coefficients
-        drop; a negative exponent raises ``ValueError``.  Variables missing
-        from ``variables`` join the table in order of appearance."""
+        drop; a negative exponent raises ``ValueError``."""
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Term, int | Fraction] = {}
         for exps, coeff in items:
@@ -128,22 +118,15 @@ class Polynomial:
             acc[key] = acc[key] + value if key in acc else value
         numerators, self._den = _over_common_denominator(acc)
         self._terms = {key: coeff for key, coeff in numerators.items() if coeff}
-        table = tuple(variables)
-        added = dict.fromkeys(v for key in self._terms for v, _ in key if v not in table)
-        self._vars = table + tuple(added)
 
     @classmethod
-    def _canonical(
-        cls, terms: dict[Term, int], table: tuple[str, ...], den: int = 1
-    ) -> "Polynomial":
-        """Wrap integer numerators ``terms`` over the positive ``den``, whose
-        keys are canonical and whose variables all appear in ``table``; zeros
-        are dropped and, when ``den != 1``, the gcd shared by ``den`` and
-        every numerator is divided out.  Arithmetic on existing polynomials
-        keeps these conditions, so it skips the validation of the public
-        constructor."""
+    def _canonical(cls, terms: dict[Term, int], den: int = 1) -> "Polynomial":
+        """Wrap integer numerators ``terms`` with canonical keys over the
+        positive ``den``; zeros are dropped and, when ``den != 1``, the gcd
+        shared by ``den`` and every numerator is divided out.  Arithmetic on
+        existing polynomials keeps these conditions, so it skips the
+        validation of the public constructor."""
         poly = object.__new__(cls)
-        poly._vars = table
         terms = {key: coeff for key, coeff in terms.items() if coeff}
         if den != 1:
             shared = gcd(den, *terms.values())
@@ -161,35 +144,31 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(variables: Iterable[str] = ()) -> "Polynomial":
-        return Polynomial({}, variables)
+    def zero() -> "Polynomial":
+        return Polynomial({})
 
     @staticmethod
-    def constant(value: ScalarLike, variables: Iterable[str] = ()) -> "Polynomial":
-        return Polynomial({(): value}, variables)
+    def constant(value: ScalarLike) -> "Polynomial":
+        return Polynomial({(): value})
 
     @staticmethod
-    def variable(name: str, variables: Iterable[str] = ()) -> "Polynomial":
-        return Polynomial({((name, 1),): 1}, variables)
+    def variable(name: str) -> "Polynomial":
+        return Polynomial({((name, 1),): 1})
 
     @staticmethod
     def from_terms(
         terms: Mapping[TermLike, ScalarLike] | Iterable[tuple[TermLike, ScalarLike]],
         variables: Iterable[str] = (),
     ) -> "Polynomial":
-        """The public constructor under its older name."""
-        return Polynomial(terms, variables)
+        """The public constructor under its older name; ``variables`` is
+        ignored."""
+        return Polynomial(terms)
 
     # -- basic queries -----------------------------------------------------
 
-    @property
-    def variable_table(self) -> tuple[str, ...]:
-        return self._vars
-
     def variables(self) -> tuple[str, ...]:
-        """Variables that actually occur, in table order."""
-        occurring = {v for key in self._terms for v, _ in key}
-        return tuple(v for v in self._vars if v in occurring)
+        """Variables that actually occur, in name order."""
+        return tuple(sorted({v for key in self._terms for v, _ in key}))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -207,7 +186,7 @@ class Polynomial:
         """Terms with their ``Fraction`` coefficients in canonical order:
         graded lexicographic over name-sorted variables, so the ordering
         survives printing and reparsing."""
-        order = sorted({v for key in self._terms for v, _ in key})
+        order = self.variables()
 
         def grlex(key: Term):
             exps = dict(key)
@@ -221,7 +200,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return other
         if isinstance(other, (int, Fraction)):
-            return Polynomial.constant(other, self._vars)
+            return Polynomial.constant(other)
         return None
 
     def _sum(self, rhs: "Polynomial", sign: int) -> "Polynomial":
@@ -236,7 +215,7 @@ class Polynomial:
             if rhs_scale != 1:
                 coeff *= rhs_scale
             acc[key] = acc[key] + coeff if key in acc else coeff
-        return Polynomial._canonical(acc, _merge_tables(self._vars, rhs._vars), den)
+        return Polynomial._canonical(acc, den)
 
     def __add__(self, other) -> "Polynomial":
         rhs = self._coerce(other)
@@ -248,7 +227,7 @@ class Polynomial:
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._canonical(
-            {key: -coeff for key, coeff in self._terms.items()}, self._vars, self._den
+            {key: -coeff for key, coeff in self._terms.items()}, self._den
         )
 
     def __sub__(self, other) -> "Polynomial":
@@ -272,16 +251,14 @@ class Polynomial:
             for k2, c2 in rhs._terms.items():
                 key = _key_product(k1, k2)
                 acc[key] = acc[key] + c1 * c2 if key in acc else c1 * c2
-        return Polynomial._canonical(
-            acc, _merge_tables(self._vars, rhs._vars), self._den * rhs._den
-        )
+        return Polynomial._canonical(acc, self._den * rhs._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, power: int) -> "Polynomial":
         if not isinstance(power, int) or power < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = Polynomial.constant(1, self._vars)
+        result = Polynomial.constant(1)
         base = self
         remaining = power
         while remaining:
@@ -360,9 +337,7 @@ class Polynomial:
         numerators, den = _over_common_denominator(quotient)
         if divisor._den != 1:
             numerators = {key: coeff * divisor._den for key, coeff in numerators.items()}
-        return Polynomial._canonical(
-            numerators, _merge_tables(self._vars, divisor._vars), den * self._den
-        )
+        return Polynomial._canonical(numerators, den * self._den)
 
     def primitive_part(self) -> "Polynomial":
         """Each coefficient divided by the positive rational content, the
@@ -373,9 +348,7 @@ class Polynomial:
         shared = gcd(*self._terms.values())
         if shared == 1 and self._den == 1:
             return self
-        return Polynomial._canonical(
-            {key: coeff // shared for key, coeff in self._terms.items()}, self._vars
-        )
+        return Polynomial._canonical({key: coeff // shared for key, coeff in self._terms.items()})
 
     # -- calculus and structure --------------------------------------------
 
@@ -444,14 +417,14 @@ class Polynomial:
             var: rep if isinstance(rep, Polynomial) else Polynomial.constant(rep)
             for var, rep in replacements.items()
         }
-        result = Polynomial.zero(self._vars)
+        result = Polynomial.zero()
         for key, coeff in self._terms.items():
             term = Polynomial.constant(coeff)
             for var, exp in key:
                 factor = subs.get(var, Polynomial.variable(var)) ** exp
                 term = term * factor
             result = result + term
-        return Polynomial._canonical(result._terms, result._vars, result._den * self._den)
+        return Polynomial._canonical(result._terms, result._den * self._den)
 
     def partial_derivative(self, var: str) -> "Polynomial":
         return self.derivation({var: 1})
@@ -467,13 +440,11 @@ class Polynomial:
         """
         get = images.get
         acc: dict[Term, int] = {}
-        mapped: set[str] = set()
         for key, coeff in self._terms.items():
             for index, (var, exp) in enumerate(key):
                 image = get(var)
                 if image is None:
                     continue
-                mapped.add(var)
                 if exp > 1:
                     lowered = key[:index] + ((var, exp - 1),) + key[index + 1:]
                 else:
@@ -482,15 +453,7 @@ class Polynomial:
                     lowered = _times_variable(lowered, image)
                 term = coeff * exp if exp > 1 else coeff
                 acc[lowered] = acc[lowered] + term if lowered in acc else term
-        # new image names join the table in the order of their sources
-        known = set(self._vars)
-        added = tuple(
-            dict.fromkeys(
-                images[v] for v in self._vars
-                if v in mapped and images[v] != 1 and images[v] not in known
-            )
-        )
-        return Polynomial._canonical(acc, self._vars + added, self._den)
+        return Polynomial._canonical(acc, self._den)
 
     def gradient_at(self, point: Mapping[str, ScalarLike]) -> dict[str, Fraction]:
         """The nonzero first partials at a point, ``{variable: value}``;
@@ -561,7 +524,7 @@ class Polynomial:
         for key, coeff in self._terms.items():
             if _exponent(key, var) == power:
                 acc[tuple(pair for pair in key if pair[0] != var)] = coeff
-        return Polynomial._canonical(acc, tuple(v for v in self._vars if v != var), self._den)
+        return Polynomial._canonical(acc, self._den)
 
     def coefficients_in(self, var: str) -> list["Polynomial"]:
         """All coefficients ``[A_0, ..., A_d]`` with ``self == sum A_i * var**i``,
@@ -572,8 +535,7 @@ class Polynomial:
         parts: list[dict[Term, int]] = [{} for _ in range(self.degree_in(var) + 1)]
         for key, coeff in self._terms.items():
             parts[_exponent(key, var)][tuple(pair for pair in key if pair[0] != var)] = coeff
-        table = tuple(v for v in self._vars if v != var)
-        return [Polynomial._canonical(part, table, self._den) for part in parts]
+        return [Polynomial._canonical(part, self._den) for part in parts]
 
     def leading_coefficient_in(self, var: str) -> "Polynomial":
         return self.coefficient_in(var, self.degree_in(var))
@@ -588,8 +550,7 @@ class Polynomial:
                 exps[name] = exps.get(name, 0) + exp
             renamed = tuple(sorted(exps.items()))
             acc[renamed] = acc[renamed] + coeff if renamed in acc else coeff
-        table = tuple(dict.fromkeys(mapping.get(v, v) for v in self._vars))
-        return Polynomial._canonical(acc, table, self._den)
+        return Polynomial._canonical(acc, self._den)
 
     # -- printing ----------------------------------------------------------
 
@@ -685,10 +646,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], variables: tuple[str, ...]):
+    def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
-        self.variables = variables
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -766,10 +726,10 @@ class _Parser:
         if kind == "number":
             if "/" in text:
                 numerator, denominator = text.split("/")
-                return Polynomial.constant(Fraction(int(numerator), int(denominator)), self.variables)
-            return Polynomial.constant(int(text), self.variables)
+                return Polynomial.constant(Fraction(int(numerator), int(denominator)))
+            return Polynomial.constant(int(text))
         if kind == "name":
-            return Polynomial.variable(text, self.variables)
+            return Polynomial.variable(text)
         if kind == "op" and text == "(":
             value = self.expression()
             self.expect_op(")")
@@ -777,10 +737,10 @@ class _Parser:
         raise PolynomialParseError(f"unexpected token {text!r}", column=pos + 1)
 
 
-def parse_polynomial(text: str, variables: Iterable[str] = ()) -> Polynomial:
-    """Parse polynomial text; ``variables`` seeds the table order if given."""
+def parse_polynomial(text: str) -> Polynomial:
+    """Parse polynomial text."""
     tokens = _tokenize(text)
     if not tokens:
         raise PolynomialParseError("empty polynomial expression")
-    return _Parser(tokens, tuple(variables)).parse()
+    return _Parser(tokens).parse()
 

@@ -457,7 +457,7 @@ def _eliminate_by_gcd(
         common = found
         if len(common) == 1:
             break
-    divisor = Polynomial({((var, k),): coeff for k, coeff in enumerate(common)}, (var,))
+    divisor = Polynomial({((var, k),): coeff for k, coeff in enumerate(common)})
     duplicates_only = len(common) == len(pivot_coefficients)
     pivot = equations[pivot_index]
     left = {index: Polynomial.zero() for index in positive if index != pivot_index}
@@ -559,11 +559,7 @@ def eliminate_variable(
 
 
 def _occurring_variables(system: Sequence[Polynomial]) -> tuple[str, ...]:
-    seen: dict[str, None] = {}
-    for poly in system:
-        for var in poly.variables():
-            seen.setdefault(var)
-    return tuple(seen)
+    return tuple(sorted(set().union(*(poly.variables() for poly in system))))
 
 
 def _solve_recursive(
@@ -667,7 +663,8 @@ def solve_overdetermined(
     enumerated (the corresponding branches are skipped, not explored).  A
     variable that no remaining equation involves stops the solve there as
     ``degenerate``, or as ``inconsistent`` when the remaining equations have
-    no solution over the variables left.
+    no solution over the variables left.  ``variables`` defaults to the
+    occurring names in name order.
     """
     polys = list(system)
     if variables is None:

@@ -10,7 +10,7 @@ from overdet.poly import Polynomial
 def random_univariate(rng: random.Random, degree: int, var: str = "x") -> Polynomial:
     """Random polynomial of exactly the given degree with small rational coefficients."""
     x = Polynomial.variable(var)
-    total = Polynomial.zero((var,))
+    total = Polynomial.zero()
     for power in range(degree):
         total = total + x ** power * Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     lead = Fraction(0)

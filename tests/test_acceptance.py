@@ -179,7 +179,7 @@ def _random_jet_system(rng: random.Random) -> PdeSystem:
             names.append(jet_name(v, tuple(j)))
     equations = []
     for _ in range(p + n):
-        poly = Polynomial.zero(names)
+        poly = Polynomial.zero()
         for _ in range(rng.randint(1, 4)):
             term = Polynomial.constant(Fraction(rng.randint(-3, 3)))
             for _ in range(rng.randint(0, 3)):

@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from overdet import formats
 from overdet.cli import main
+from overdet.jets import prolong
+from overdet.reduction import solve_overdetermined
 
 THREE_CURVES = """\
 vars x y
@@ -41,6 +44,15 @@ surplus 1
 vars x
 eq S1[1] - S1
 eq S1*S1[1] - S1^2
+"""
+
+PLANE_TRIPLE = """\
+unknowns 1
+surplus 2
+vars y x
+eq S1[1,0] - S1*x
+eq S1[0,1] - S1*y
+eq S1*(x - 1)
 """
 
 
@@ -120,6 +132,18 @@ def test_solve_pde_pipeline(tmp_path, capsys, orders):
     report = data["certification"][0]
     assert report["certified"]
     assert report["rank"] == report["n_s_real"] == orders + 1
+
+
+def test_solve_pde_keeps_the_declared_base_variable_order(tmp_path, capsys):
+    # the base variables are unknowns after the jets, in the order of the vars line
+    pde = tmp_path / "plane.pde"
+    pde.write_text(PLANE_TRIPLE)
+    assert main(["--format", "json", "solve", str(pde), "--orders", "2,2"]) == 3
+    data = _json_out(capsys)
+    prolonged = prolong(formats.parse_pde_file(PLANE_TRIPLE), (2, 2))
+    variables = [jet.name for _, jet in sorted(prolonged.unknowns().items())] + ["y", "x"]
+    outcome = solve_overdetermined([eq for _, eq in prolonged.equation_items()], variables)
+    assert data == {**formats.outcome_to_dict(outcome, variables), "certification": []}
 
 
 def test_reduce_quadratic_pair(tmp_path, capsys):

@@ -55,7 +55,7 @@ def _random_poly(rng: random.Random) -> Polynomial:
         Fraction(rng.randint(1, 4))
     ]
     x = Polynomial.variable("x")
-    total = Polynomial.zero(("x",))
+    total = Polynomial.zero()
     for power, c in enumerate(coeffs):
         total = total + x ** power * c
     return total

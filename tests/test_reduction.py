@@ -246,6 +246,19 @@ def test_solve_three_curves_golden():
             assert poly.evaluate(point) == 0
 
 
+def test_default_variable_order_is_name_order():
+    # the variables first appear as (y, x); the default order is (x, y)
+    system = [P("y + x - 1"), P("x^2 - x"), P("y^2 - y")]
+    assert solve_overdetermined(system) == solve_overdetermined(system, ("x", "y"))
+    assert rational_root_search(system, 2) == rational_root_search(system, 2, ("x", "y"))
+    # the other order lists the same solutions the other way round
+    assert solve_overdetermined(system, ("y", "x")).solutions == [
+        {"x": 1, "y": 0},
+        {"x": 0, "y": 1},
+    ]
+    assert solve_overdetermined(system).solutions == [{"x": 0, "y": 1}, {"x": 1, "y": 0}]
+
+
 def test_solve_contradictory_linear_pair():
     outcome = solve_overdetermined([P("x - 1"), P("x - 2")])
     assert outcome.status == "inconsistent"
@@ -499,9 +512,9 @@ def _planted_system(rng, names, degree):
     top = [e for e in exponents if sum(e) == degree]
     system = []
     for _ in range(len(names) + 1):
-        poly = Polynomial.zero(names)
+        poly = Polynomial.zero()
         for exps in [rng.choice(top)] + rng.sample(exponents, 2):
-            term = Polynomial([(zip(names, exps), 1)], names)
+            term = Polynomial([(zip(names, exps), 1)])
             poly = poly + (term - term.evaluate(root)) * rng.choice([-5, -3, -1, 1, 2, 4])
         system.append(poly)
     return system
@@ -544,7 +557,7 @@ def test_pair_elimination_ends_at_the_resultant():
         degrees = sorted((rng.randint(1, 4), rng.randint(1, 4)), reverse=True)
         pair = []
         for degree in degrees:
-            poly = Polynomial.zero(("x", "y"))
+            poly = Polynomial.zero()
             for k in range(degree + 1):
                 coeff = Polynomial.constant(rng.randint(-3, 3)) + P("x") * rng.randint(-2, 2)
                 if k == degree and coeff.is_zero():
@@ -565,9 +578,9 @@ def test_pair_elimination_ends_at_the_resultant():
 
 
 def _random_combination(rng, variables, generators, parts=1):
-    poly = Polynomial.zero(variables)
+    poly = Polynomial.zero()
     for gen in generators:
-        factor = Polynomial.zero(variables)
+        factor = Polynomial.zero()
         for _ in range(rng.randint(1, 2)):
             term = Polynomial.constant(Fraction(rng.randint(-2, 2)))
             for _ in range(rng.randint(0, parts)):
@@ -653,7 +666,7 @@ def _integer_univariate(rng, degree, bits):
     of up to ``bits`` bits."""
     coeffs = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(degree)]
     coeffs.append(rng.choice([-1, 1]) * rng.randint(1, 2 ** bits))
-    return Polynomial({(("x", k),): c for k, c in enumerate(coeffs)}, ("x",))
+    return Polynomial({(("x", k),): c for k, c in enumerate(coeffs)})
 
 
 def _gcd_cases(seed):
