@@ -105,6 +105,24 @@ def test_prolong_text_and_parse_error(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, text, options", [
+    ("zero.poly", "vars x\neq 3/0*x + 1\neq x - 1\n", []),
+    ("zero.pde", "unknowns 1\nsurplus 1\nvars x\neq S1[1] - 1/0*S1\neq S1[1] - S1\n",
+     ["--orders", "1"]),
+])
+def test_solve_reports_a_zero_denominator_without_a_traceback(tmp_path, name, text, options):
+    path = tmp_path / name
+    path.write_text(text)
+    result = subprocess.run(
+        [sys.executable, "-m", "overdet.cli", "--format", "json", "solve", str(path), *options],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:") and "zero denominator" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_solve_three_curves_exit_zero(curves, capsys):
     code = main(["--format", "json", "solve", curves])
     assert code == 0

@@ -152,8 +152,7 @@ def test_total_derivative_matches_leibniz_formula():
                     Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
                 )
                 for _ in range(rng.randint(1, 5))
-            ],
-            names[::-1],
+            ]
         )
         for s in (1, 2):
             fast = total_derivative(poly, s, codec, base)

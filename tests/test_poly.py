@@ -137,6 +137,14 @@ def test_parse_rejects_garbage():
         P("x^(1/2)")
 
 
+def test_parse_rejects_a_zero_denominator():
+    with pytest.raises(PolynomialParseError) as err:
+        P("2*x + 3/0")
+    assert "'3/0'" in str(err.value) and err.value.column == 7
+    with pytest.raises(PolynomialParseError):
+        P("x^2 - 0/0*y")
+
+
 def test_str_roundtrip_golden():
     f = P("2*x^2 - 7*x + 5")
     assert str(f) == "2*x^2 - 7*x + 5"
@@ -164,7 +172,7 @@ def polynomials(draw, max_terms=6, max_exp=3):
             for v in draw(st.sets(st.sampled_from(_variables), max_size=3))
         }
         terms.append((exps, draw(_small_rationals)))
-    return Polynomial.from_terms(terms, variables=_variables)
+    return Polynomial.from_terms(terms)
 
 
 @settings(max_examples=80, deadline=None)
@@ -669,3 +677,90 @@ def test_integer_arithmetic_builds_no_fraction(monkeypatch):
     assert (h * g).exact_quotient(g) == h
     assert (6 * h).primitive_part() == h.primitive_part()
     assert built == []
+
+
+def test_constants_hash_as_their_scalar_value():
+    for value in (0, 3, Fraction(-1, 2)):
+        constant = Polynomial.constant(value)
+        assert constant == value and hash(constant) == hash(value)
+        assert constant == Fraction(value) and hash(constant) == hash(Fraction(value))
+        assert len({constant, value, Fraction(value)}) == 1
+    assert len({P("6/2"), 3, P("x") - P("x") + 3}) == 1
+
+
+# -- products on packed exponent vectors ---------------------------------------
+
+
+def _term_data(rng, names, count, tops, integer):
+    """Up to ``count`` distinct random terms over ``names`` whose exponent of
+    each variable v stays within ``tops[v]`` and reaches it in some term."""
+    terms = {tuple((v, top) for v, top in tops.items() if top): 1}
+    for _ in range(4 * count):
+        if len(terms) == count:
+            break
+        used = rng.sample(names, rng.randint(0, len(names)))
+        terms[tuple((v, rng.randint(1, tops[v])) for v in sorted(used) if tops[v])] = 1
+    return {
+        key: (rng.choice([-1, 1]) * rng.randint(1, 9) if integer
+              else Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6)))
+        for key in terms
+    }
+
+
+def test_packed_products_agree_with_the_reference():
+    """Products of at least ``_PACKED_MIN_PAIRS`` term pairs against the
+    pair-by-pair ``Fraction`` reference, in 1-6 variables, with exponent sums
+    that fill a bit field exactly or need one more bit, and variables in one
+    operand only."""
+    rng = random.Random(151)
+    names = ["a", "b", "c", "d", "e", "f"]
+    # (largest exponent of the first variable in the left operand, in the
+    # right): the sums 7, 8 and 15 fill 3, 4 and 4 bits
+    boundaries = [(3, 4), (4, 4), (7, 8), (1, 1), (8, 7), (5, 0)]
+    packed = 0
+    for index in range(150):
+        used = names[:index % 6 + 1]
+        left_tops = {v: rng.randint(2, 5) for v in used}
+        right_tops = {v: rng.randint(2, 5) for v in used}
+        left_tops[used[0]], right_tops[used[0]] = boundaries[index // 6 % len(boundaries)]
+        if len(used) > 2:  # the second in the left operand only, the third in the right
+            right_tops[used[1]] = left_tops[used[2]] = 0
+        integer = index % 2 == 0
+        f = Polynomial(_term_data(rng, used, rng.randint(8, 14), left_tops, integer))
+        g = Polynomial(_term_data(rng, used, rng.randint(8, 14), right_tops, not integer))
+        a, b = _ref(f), _ref(g)
+        packed += len(a) * len(b) >= poly._PACKED_MIN_PAIRS
+        for result, expected in ((f * g, _ref_product(a, b)), (g * f, _ref_product(b, a))):
+            assert _ref(result) == expected
+            _assert_canonical(result)
+        if index % 10 == 0:
+            for power in (2, 3, 4):
+                assert _ref(f ** power) == _ref_power(a, power)
+    assert packed > 120
+    # all but the two outer terms cancel: x^32 - y^32
+    x, y = P("x"), P("y")
+    geometric = sum((x ** i * y ** (31 - i) for i in range(32)), Polynomial.zero())
+    assert geometric * (x - y) == P("x^32 - y^32")
+    assert (geometric * (x - y)).ordered_terms() == P("x^32 - y^32").ordered_terms()
+    halves = P("1/2*x - 1/3*y") * 6
+    assert geometric * halves - halves * geometric == Polynomial.zero()
+
+
+def test_packed_and_pair_products_agree_in_value_and_term_order(monkeypatch):
+    rng = random.Random(163)
+    names = ["u", "v", "w", "t"]
+    cases = [
+        (_mixed_poly(rng, names, rng.randint(0, 12)), _mixed_poly(rng, names, rng.randint(0, 12)))
+        for _ in range(80)
+    ] + [(P("x^7*y + 3*x^3 - y^2"), P("x^8 - 2/3*x^4*y^5 + 1")), (P("5"), P("x + y"))]
+
+    def products():
+        return [result for f, g in cases for result in (f * g, g * f, f * 3, f ** 3)]
+
+    monkeypatch.setattr(poly, "_PACKED_MIN_PAIRS", 0)
+    packed = products()
+    monkeypatch.setattr(poly, "_PACKED_MIN_PAIRS", 10 ** 9)
+    paired = products()
+    for p, q in zip(packed, paired, strict=True):
+        assert p == q and p._den == q._den
+        assert list(p._terms) == list(q._terms)
