@@ -51,34 +51,51 @@ def scalar_from_json(value: int | str) -> Fraction:
         raise PolynomialParseError(f"bad rational literal {value!r}: {exc}") from exc
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
+def _content_lines(text: str) -> list[tuple[int, str, int]]:
+    """``(number, stripped text, offset of that text in the raw line)``."""
     lines = []
     for number, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        stripped = code.strip()
         if stripped:
-            lines.append((number, stripped))
+            lines.append((number, stripped, len(code) - len(code.lstrip())))
     return lines
+
+
+def _parse_vars(rest: str, line: int) -> tuple[str, ...]:
+    names = tuple(rest.split())
+    if not names:
+        raise PolynomialParseError("vars line declares no variables", line=line)
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise PolynomialParseError(f"vars line repeats {repeated}", line=line)
+    return names
+
+
+def _parse_equation(rest: str, line: int, offset: int) -> Polynomial:
+    """Parse the text after ``eq``; a parse error gets the line and the
+    column in the raw line, ``offset`` being where ``rest`` starts in it."""
+    try:
+        return parse_polynomial(rest)
+    except PolynomialParseError as exc:
+        column = None if exc.column is None else exc.column + offset
+        raise PolynomialParseError(str(exc), line=line, column=column) from exc
 
 
 def parse_poly_file(text: str) -> tuple[tuple[str, ...], list[Polynomial]]:
     """Parse a ``.poly`` system: declared variable order plus equations."""
     variables: tuple[str, ...] | None = None
     equations: list[Polynomial] = []
-    for number, line in _content_lines(text):
+    for number, line, offset in _content_lines(text):
         keyword, _, rest = line.partition(" ")
         if keyword == "vars":
             if variables is not None:
                 raise PolynomialParseError("duplicate vars line", line=number)
-            variables = tuple(rest.split())
-            if not variables:
-                raise PolynomialParseError("vars line declares no variables", line=number)
+            variables = _parse_vars(rest, number)
         elif keyword == "eq":
             if variables is None:
                 raise PolynomialParseError("eq before vars line", line=number)
-            try:
-                equations.append(parse_polynomial(rest))
-            except PolynomialParseError as exc:
-                raise PolynomialParseError(str(exc), line=number) from exc
+            equations.append(_parse_equation(rest, number, offset + len(keyword) + 1))
         else:
             raise PolynomialParseError(f"unknown directive {keyword!r}", line=number)
     if variables is None:
@@ -102,23 +119,18 @@ def parse_pde_file(text: str) -> PdeSystem:
     p = n = None
     base_vars: tuple[str, ...] | None = None
     equations: list[Polynomial] = []
-    for number, line in _content_lines(text):
+    for number, line, offset in _content_lines(text):
         keyword, _, rest = line.partition(" ")
         if keyword == "unknowns":
             p = _parse_positive(rest, "unknowns", number)
         elif keyword == "surplus":
             n = _parse_positive(rest, "surplus", number)
         elif keyword == "vars":
-            base_vars = tuple(rest.split())
-            if not base_vars:
-                raise PolynomialParseError("vars line declares no variables", line=number)
+            base_vars = _parse_vars(rest, number)
         elif keyword == "eq":
             if base_vars is None:
                 raise PolynomialParseError("eq before vars line", line=number)
-            try:
-                equations.append(parse_polynomial(rest))
-            except PolynomialParseError as exc:
-                raise PolynomialParseError(str(exc), line=number) from exc
+            equations.append(_parse_equation(rest, number, offset + len(keyword) + 1))
         else:
             raise PolynomialParseError(f"unknown directive {keyword!r}", line=number)
     if p is None or n is None or base_vars is None:

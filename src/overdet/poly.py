@@ -136,13 +136,13 @@ def _packed_product(left: Mapping[Term, int], right: Mapping[Term, int]) -> dict
     return terms
 
 
-def _times_variable(key: Term, var: str) -> Term:
-    """``key`` times one more factor of ``var``: a single pair inserted at
-    its place in the name order, or one exponent raised."""
+def _times_variable(key: Term, var: str, exp: int = 1) -> Term:
+    """``key`` times ``var ** exp``: a single pair inserted at its place in
+    the name order, or one exponent raised."""
     index = bisect_left(key, (var,))  # (var,) sorts just before (var, e)
     if index < len(key) and key[index][0] == var:
-        return key[:index] + ((var, key[index][1] + 1),) + key[index + 1:]
-    return key[:index] + ((var, 1),) + key[index:]
+        return key[:index] + ((var, key[index][1] + exp),) + key[index + 1:]
+    return key[:index] + ((var, exp),) + key[index:]
 
 
 def _integral(value: ScalarLike) -> ScalarLike:
@@ -622,6 +622,30 @@ class Polynomial:
         for key, coeff in self._terms.items():
             parts[_exponent(key, var)][tuple(pair for pair in key if pair[0] != var)] = coeff
         return [Polynomial._canonical(part, self._den) for part in parts]
+
+    @staticmethod
+    def from_coefficients(coefficients: Sequence["Polynomial"], var: str) -> "Polynomial":
+        """``sum A_i * var**i`` for ``[A_0, ..., A_d]`` free of ``var``, the
+        inverse of :meth:`coefficients_in`, in one walk over their terms."""
+        den = lcm(*(coeff._den for coeff in coefficients))
+        terms: dict[Term, int] = {}
+        for power, coeff in enumerate(coefficients):
+            scale = den // coeff._den
+            for key, numerator in coeff._terms.items():
+                terms[_times_variable(key, var, power) if power else key] = numerator * scale
+        return Polynomial._canonical(terms, den)
+
+    def numerators_in(self, var: str) -> list[int]:
+        """The integer numerators ``[n_0, ..., n_d]`` of a polynomial in
+        ``var`` alone, ``self == sum n_i * var**i / den``, in one walk over
+        the terms; an empty list for the zero polynomial.  A term in another
+        variable raises ``ValueError``."""
+        by_power: dict[int, int] = {}
+        for key, coeff in self._terms.items():
+            if len(key) > 1 or key and key[0][0] != var:
+                raise ValueError(f"{self} involves variables other than {var}")
+            by_power[key[0][1] if key else 0] = coeff
+        return [by_power.get(k, 0) for k in range(max(by_power, default=-1) + 1)]
 
     def leading_coefficient_in(self, var: str) -> "Polynomial":
         return self.coefficient_in(var, self.degree_in(var))

@@ -9,16 +9,19 @@ The chain is kept as the reference method; the solver does not use it.
 
 A system of at least m+1 equations in m variables is solved one variable at
 a time, the last variable included: every equation is viewed through its
-coefficients in the chosen variable (polynomials in the remaining ones) and
-reduced against a pivot by pseudo-remainders, so that all arithmetic stays
-in the polynomial ring.  Factors known to divide are divided out exactly,
-as in Collins' (1967) reduced remainder sequence.  A level whose equations
-involve no other variable is their gcd instead, found through integer gcds
-of their values (GCDHEU, Char, Geddes and Gonnet 1989) without the
+list of coefficients in the chosen variable (polynomials in the remaining
+ones) and reduced against a pivot by pseudo-remainders computed on those
+lists, so that all arithmetic stays in the polynomial ring.  Factors known
+to divide are divided out exactly, as in Collins' (1967) reduced remainder
+sequence.  A level whose equations involve no other variable runs on one
+primitive int list per equation and is their gcd, found through integer
+gcds of their values (GCDHEU, Char, Geddes and Gonnet 1989) without the
 coefficient growth of a remainder sequence, which stays as its fallback.
 With no variable left, a nonzero constant means the system is
 inconsistent.  Each level's pivot then gives its variable at each solution
-of the rest: directly when it is linear, by its rational roots otherwise.
+of the rest: directly when it is linear, otherwise by the rational roots
+of the substituted pivot, cleared to a primitive int list and searched in
+ints.
 Every pivot leading coefficient is asserted nonzero and recorded as a side
 condition; results are complete only on the locus where all recorded
 conditions hold.  Nonzero constant conditions hold everywhere and are left
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -287,47 +290,52 @@ def _divisors(n: int, bound: int | None = None) -> list[int]:
     return sorted(found)
 
 
-def _rational_roots(poly: Polynomial, var: str) -> list[Fraction]:
-    """The rational roots ``p/q`` with p dividing the lowest and q the
-    leading nonzero integer coefficient, found by divisor enumeration.  When
-    either exceeds ``_ENUMERATION_LIMIT``, only divisors up to
-    ``_SMALL_DIVISOR_BOUND`` are tried and the list can miss roots; callers
-    decide completeness by splitting the returned roots off."""
-    ints = [int(c.constant_value()) for c in poly.primitive_part().coefficients_in(var)]
+def _primitive_ints(values: Sequence[int | Fraction]) -> list[int]:
+    """Rational values scaled to coprime integers, the sign kept."""
+    den = lcm(*(value.denominator for value in values))
+    ints = [value.numerator * (den // value.denominator) for value in values]
+    content = gcd(*ints)
+    return [value // content for value in ints]
+
+
+def _rational_roots(coefficients: list[int]) -> tuple[list[Fraction], list[int]]:
+    """The rational roots of a nonzero integer polynomial (ascending
+    coefficients), and what is left of it once each is divided out as often
+    as it divides.  A root ``p/q`` in lowest terms has p dividing the lowest
+    and q the leading nonzero coefficient, and ``f = (q*x - p)*g`` with g
+    integral (Gauss's lemma), so a nonzero ``q - p`` divides ``f(1)`` and a
+    nonzero ``q + p`` divides ``f(-1)``; each coprime pair that passes is
+    tried by dividing by ``q*x - p``.  Beyond ``_ENUMERATION_LIMIT`` only
+    divisors up to ``_SMALL_DIVISOR_BOUND`` are tried and roots can be
+    missed; callers decide completeness by what is left."""
     low = 0
-    while low < len(ints) and ints[low] == 0:
+    while coefficients[low] == 0:
         low += 1
-    roots = set()
-    if low > 0:
-        roots.add(Fraction(0))
-    ints = ints[low:]
-    if len(ints) <= 1:
-        return sorted(roots)
-    constant, lead = ints[0], ints[-1]
+    roots = [Fraction(0)] if low else []
+    left = coefficients[low:]
+    constant, lead = left[0], left[-1]
     large = abs(constant) > _ENUMERATION_LIMIT or abs(lead) > _ENUMERATION_LIMIT
     bound = _SMALL_DIVISOR_BOUND if large else None
-    candidates = {
-        Fraction(sign * p, q)
-        for p in _divisors(constant, bound)
-        for q in _divisors(lead, bound)
-        for sign in (1, -1)
-    }
-    for candidate in candidates:
-        if poly.evaluate({var: candidate}) == 0:
-            roots.add(candidate)
-    return sorted(roots)
-
-
-def _split_off_roots(
-    poly: Polynomial, var: str, roots: Sequence[Fraction]
-) -> Polynomial:
-    """Divide out (var - r) for each root as often as it divides exactly."""
-    remaining = poly
-    for root in roots:
-        factor = Polynomial({((var, 1),): 1, (): -root})
-        while remaining.evaluate({var: root}) == 0:
-            remaining = remaining.exact_quotient(factor)
-    return remaining
+    numerators = _divisors(constant, bound)
+    at_one, at_minus_one = sum(left), _value_at(left, -1)
+    for q in _divisors(lead, bound):
+        for numerator in numerators:
+            if gcd(numerator, q) > 1:
+                continue
+            for p in (numerator, -numerator):
+                if len(left) == 1:
+                    return sorted(roots), left
+                if (q - p and at_one % (q - p)) or (q + p and at_minus_one % (q + p)):
+                    continue
+                quotient = _exact_quotient(left, (-p, q))
+                if quotient is None:
+                    continue
+                roots.append(Fraction(p, q))
+                while quotient is not None:
+                    left = quotient
+                    quotient = _exact_quotient(left, (-p, q))
+                at_one, at_minus_one = sum(left), _value_at(left, -1)
+    return sorted(roots), left
 
 
 # -- elimination of one variable ---------------------------------------------
@@ -337,21 +345,18 @@ def _pseudo_remainder(dividend: Polynomial, divisor: Polynomial, var: str) -> Po
     """``prem(dividend, divisor)`` in ``var``: the remainder of
     ``lc(divisor)**(gap + 1) * dividend`` modulo ``divisor``, where gap is the
     degree gap.  Each power of ``var`` cleared from the top multiplies by the
-    leading coefficient once, whether or not its coefficient was zero."""
-    degree = divisor.degree_in(var)
-    lead = divisor.coefficient_in(var, degree)
-    gap = dividend.degree_in(var) - degree
-    # powers[k] is var**(k + 1), all from one constructed variable
-    powers = [Polynomial.variable(var)] if gap else []
-    while len(powers) < gap:
-        powers.append(powers[-1] * powers[0])
-    remainder = dividend
-    for shift in range(gap, -1, -1):
-        top = remainder.coefficient_in(var, degree + shift)
-        if shift:
-            top = top * powers[shift - 1]
-        remainder = remainder * lead - divisor * top
-    return remainder
+    leading coefficient once, whether or not its coefficient was zero.  The
+    steps run on the coefficient lists in ``var``: clearing the top
+    coefficient T of the remainder R is ``R_i = lead*R_i - T*B_(i-shift)``."""
+    remainder = dividend.coefficients_in(var)
+    *rest, lead = divisor.coefficients_in(var)
+    for shift in range(len(remainder) - 1 - len(rest), -1, -1):
+        top = remainder.pop()
+        remainder = [coeff * lead for coeff in remainder]
+        if not top.is_zero():
+            for k, coeff in enumerate(rest):
+                remainder[shift + k] -= coeff * top
+    return Polynomial.from_coefficients(remainder, var)
 
 
 @dataclass(frozen=True)
@@ -379,11 +384,6 @@ class _EliminationResult:
 _HEURISTIC_GCD_TRIES = 6
 
 
-def _integer_coefficients(poly: Polynomial, var: str) -> list[int]:
-    """Ascending integer coefficients of the primitive part of ``poly``."""
-    return [int(c.constant_value()) for c in poly.primitive_part().coefficients_in(var)]
-
-
 def _value_at(coeffs: Sequence[int], point: int) -> int:
     value = 0
     for coeff in reversed(coeffs):
@@ -391,19 +391,22 @@ def _value_at(coeffs: Sequence[int], point: int) -> int:
     return value
 
 
-def _divides(divisor: Sequence[int], dividend: Sequence[int]) -> bool:
-    """Whether the primitive ``divisor`` divides ``dividend`` over Z: by
-    Gauss's lemma every quotient coefficient is then an integer."""
+def _exact_quotient(dividend: Sequence[int], divisor: Sequence[int]) -> list[int] | None:
+    """The quotient of two integer polynomials (ascending coefficients), or
+    None when ``divisor`` does not divide ``dividend`` over Z; by Gauss's
+    lemma a primitive divisor that divides over Q divides over Z."""
     remainder = list(dividend)
     degree = len(divisor) - 1
+    quotient = []
     for top in range(len(remainder) - 1, degree - 1, -1):
         factor, rest = divmod(remainder[top], divisor[-1])
         if rest:
-            return False
+            return None
+        quotient.append(factor)
         if factor:
             for k, coeff in enumerate(divisor):
                 remainder[top - degree + k] -= factor * coeff
-    return not any(remainder[:degree])
+    return None if any(remainder[:degree]) else quotient[::-1]
 
 
 def _heuristic_gcd(f: Sequence[int], g: Sequence[int]) -> list[int] | None:
@@ -430,7 +433,7 @@ def _heuristic_gcd(f: Sequence[int], g: Sequence[int]) -> list[int] | None:
             h = (h - digit) // xi
         content = gcd(*digits)
         candidate = [digit // content for digit in digits]
-        if _divides(candidate, f) and _divides(candidate, g):
+        if all(_exact_quotient(h, candidate) is not None for h in (f, g)):
             return candidate
         xi = xi * 73794 // 27011
     return None
@@ -446,12 +449,12 @@ def _eliminate_by_gcd(
     become 0, or one nonzero constant when the gcd is 1.  Equations free of
     ``var`` pass unchanged.  None when the heuristic gcd gives up."""
     pivot_index = min(positive, key=lambda i: (equations[i].degree_in(var), i))
-    pivot_coefficients = _integer_coefficients(equations[pivot_index], var)
+    pivot_coefficients = _primitive_ints(equations[pivot_index].numerators_in(var))
     common = pivot_coefficients
     for index in positive:
         if index == pivot_index:
             continue
-        found = _heuristic_gcd(common, _integer_coefficients(equations[index], var))
+        found = _heuristic_gcd(common, _primitive_ints(equations[index].numerators_in(var)))
         if found is None:
             return None
         common = found
@@ -613,9 +616,8 @@ def _solve_recursive(
             roots = [-values[0] / values[1]]
             complete = True
         else:
-            substituted = Polynomial({((var, k),): v for k, v in enumerate(values)})
-            roots = _rational_roots(substituted, var)
-            complete = _split_off_roots(substituted, var, roots).degree_in(var) == 0
+            roots, left = _rational_roots(_primitive_ints(values))
+            complete = len(left) == 1
         if not complete:
             # irrational roots, or rational ones beyond the divisors tried:
             # the pivot stays as a residual beside the verified roots
@@ -677,6 +679,8 @@ def solve_overdetermined(
         )
     if not variables:
         raise SystemShapeError("system involves no variables")
+    if len(set(variables)) < len(variables):
+        raise SystemShapeError(f"variables repeat a name: {list(variables)}")
     unlisted = [v for v in _occurring_variables(polys) if v not in variables]
     if unlisted:
         raise SystemShapeError(f"equations involve variables not solved for: {unlisted}")

@@ -69,6 +69,25 @@ def test_parse_poly_file_errors_carry_line_numbers():
         parse_poly_file("vars x\neq y\n")
 
 
+def test_parse_poly_file_rejects_a_repeated_variable():
+    with pytest.raises(PolynomialParseError, match="repeats") as err:
+        parse_poly_file("vars x x\neq x - 1\neq x^2 - 1\neq x^3 - 1\n")
+    assert err.value.line == 1
+
+
+def test_parse_errors_in_equations_carry_the_column_in_the_raw_line():
+    with pytest.raises(PolynomialParseError) as err:
+        parse_poly_file("vars x\neq x + * 2\n")
+    assert (err.value.line, err.value.column) == (2, 8)
+    # leading blanks and the blanks after eq count too
+    with pytest.raises(PolynomialParseError) as err:
+        parse_poly_file("  vars x\n\t eq   x + * 2  # note\n")
+    assert (err.value.line, err.value.column) == (2, 12)
+    with pytest.raises(PolynomialParseError) as err:
+        parse_pde_file("unknowns 1\nsurplus 1\nvars x\neq S1[1] + * S1\neq S1\n")
+    assert (err.value.line, err.value.column) == (4, 12)
+
+
 def test_parse_pde_file_normalizes_jets():
     system = parse_pde_file(RICCATI_PAIR)
     assert system.p == 1 and system.n == 1 and system.base_vars == ("x",)
@@ -82,6 +101,13 @@ def test_parse_pde_file_rejects_malformed():
     assert err.value.line == 4
     with pytest.raises(PolynomialParseError):
         parse_pde_file("unknowns 1\nvars x\neq S1[1]\neq S1\n")
+
+
+def test_parse_pde_file_rejects_a_repeated_variable():
+    # it used to fail later with a misleading multi-index length error
+    with pytest.raises(PolynomialParseError, match="repeats") as err:
+        parse_pde_file("unknowns 1\nsurplus 1\nvars x x\neq S1[1,0] - S1\neq S1[0,1] - S1\n")
+    assert err.value.line == 3
 
 
 def test_parse_point_json():

@@ -77,6 +77,12 @@ def test_coefficients_in():
     assert P("x*y - 2").coefficients_in("y") == [Polynomial.constant(-2), P("x")]
     assert P("7").coefficients_in("y") == [Polynomial.constant(7)]
     assert Polynomial.zero().coefficients_in("y") == []
+    # a polynomial in one variable as integer numerators over its denominator
+    assert P("1/2*x^3 - 1/3*x").numerators_in("x") == [0, -2, 0, 3]
+    assert P("7").numerators_in("x") == [7] and Polynomial.zero().numerators_in("x") == []
+    for other in ("x*y", "y + 1"):
+        with pytest.raises(ValueError):
+            P(other).numerators_in("x")
 
 
 def test_substitute_polynomials():
@@ -193,6 +199,7 @@ def test_coefficients_reconstruct(f, v):
     for power, coeff in enumerate(f.coefficients_in(v)):
         total = total + coeff * var ** power
     assert total == f
+    assert Polynomial.from_coefficients(f.coefficients_in(v), v) == f
 
 
 @settings(max_examples=80, deadline=None)

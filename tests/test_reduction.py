@@ -302,6 +302,13 @@ def test_solve_shape_errors():
     assert outcome.solutions == [{"x": Fraction(1)}]
 
 
+def test_solve_rejects_a_repeated_variable_name():
+    # x - 1, x^2 - 1, x^3 - 1 solved "in (x, x)" read as degenerate before
+    system = [P("x - 1"), P("x^2 - 1"), P("x^3 - 1")]
+    with pytest.raises(SystemShapeError, match="repeat"):
+        solve_overdetermined(system, ("x", "x"))
+
+
 def test_solve_reduces_every_univariate_equation():
     # the first two equations share x^2 - 2; only the third rules it out
     f = P("x^2 - 2")
@@ -397,6 +404,42 @@ def test_trace_steps_are_exact_combinations():
     assert divided > 0
 
 
+def _random_coefficient(rng, others):
+    """A polynomial in ``others`` with up to three terms of small rational
+    coefficients; zero now and then."""
+    return Polynomial([
+        ({v: rng.randint(0, 2) for v in others}, Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 3))
+    ])
+
+
+def test_pseudo_remainder_matches_the_product_form():
+    """The coefficient-list pseudo-remainder equals the product form
+    (``_reference_prem``, which multiplies the divisor by ``top * x**k``) on
+    seeded pairs in x over one to three other variables, named before and
+    after x, with rational coefficients, zero coefficients inside the degree
+    gap and divisors of degree 1."""
+    rng = random.Random(151)
+    x = Polynomial.variable("x")
+    zero_tops = linear = 0
+    for index in range(150):
+        others = ("a", "y", "z")[: 1 + index % 3]
+        degree = rng.randint(1, 3)
+        gap = rng.randint(0, 4)
+        divisor_coefficients = [_random_coefficient(rng, others) for _ in range(degree + 1)]
+        dividend_coefficients = [_random_coefficient(rng, others) for _ in range(degree + gap + 1)]
+        for coefficients in (divisor_coefficients, dividend_coefficients):
+            while coefficients[-1].is_zero():
+                coefficients[-1] = _random_coefficient(rng, others)
+        divisor = sum(c * x ** k for k, c in enumerate(divisor_coefficients))
+        dividend = sum(c * x ** k for k, c in enumerate(dividend_coefficients))
+        zero_tops += any(c.is_zero() for c in dividend_coefficients[degree:-1])
+        linear += degree == 1
+        expected = _reference_prem(dividend, divisor, "x")
+        assert reduction._pseudo_remainder(dividend, divisor, "x") == expected
+    assert zero_tops >= 20 and linear >= 20
+
+
 def test_lone_pivot_of_degree_two_back_substitutes_its_roots():
     """When only the pivot carries y, the y-free equations are the reduced
     system and y comes from the rational roots of the substituted pivot."""
@@ -465,6 +508,69 @@ def test_small_rational_roots_beside_coefficients_too_large_to_enumerate():
     )
     assert outcome.status == "residual"
     assert outcome.solutions == [{"x": Fraction(-3, 2)}]
+
+
+def _reference_rational_roots(poly):
+    """Every divisor pair of the lowest and the leading coefficient, each
+    candidate evaluated as a ``Fraction``."""
+    ints = [int(c.constant_value()) for c in poly.primitive_part().coefficients_in("x")]
+    low = next(k for k, c in enumerate(ints) if c)
+    roots = {Fraction(0)} if low else set()
+    constant, lead = ints[low], ints[-1]
+    for p in range(1, abs(constant) + 1):
+        if constant % p == 0:
+            for q in range(1, abs(lead) + 1):
+                if lead % q == 0:
+                    roots |= {r for r in (Fraction(p, q), Fraction(-p, q))
+                              if poly.evaluate({"x": r}) == 0}
+    return sorted(roots)
+
+
+def _reference_split_off(poly, roots):
+    """Divide out x - r for each root as often as it divides exactly."""
+    for root in roots:
+        while poly.evaluate({"x": root}) == 0:
+            poly = poly.exact_quotient(Polynomial({(("x", 1),): 1, (): -root}))
+    return poly
+
+
+def test_integer_root_search_matches_divisor_enumeration_and_the_oracle():
+    """On seeded integer polynomials with planted roots 0, 1, -1 (where
+    q - p or q + p is 0) and p/q with q dividing the lead, some repeated,
+    times a random cofactor: the roots equal those of a Fraction
+    enumeration of every divisor pair and, within |p|, q <= 6, those of the
+    oracle's exhaustive search, and what is left after the split-off is the
+    exact_quotient loop's remainder up to a rational scale."""
+    rng = random.Random(157)
+    planted = {Fraction(1): 0, Fraction(-1): 0, Fraction(0): 0, "repeated": 0}
+    for _ in range(120):
+        poly = Polynomial.constant(rng.choice([-3, -2, -1, 1, 2, 6]))
+        for _ in range(rng.randint(1, 4)):
+            p, q = rng.choice([(0, 1), (1, 1), (-1, 1), (rng.randint(-6, 6), rng.randint(1, 6))])
+            multiplicity = rng.choice([1, 1, 2, 3])
+            poly = poly * Polynomial({(("x", 1),): q, (): -p}) ** multiplicity
+            if Fraction(p, q) in planted:
+                planted[Fraction(p, q)] += 1
+            planted["repeated"] += multiplicity > 1
+        poly = poly * _integer_univariate(rng, rng.randint(0, 3), 3)
+        if poly.degree_in("x") < 1:
+            continue
+        ints = [int(c.constant_value()) for c in poly.primitive_part().coefficients_in("x")]
+        roots, left = reduction._rational_roots(ints)
+        assert roots == _reference_rational_roots(poly)
+        boxed = {point["x"] for point in rational_root_search([poly], 6, ("x",))}
+        assert boxed == {r for r in roots if abs(r.numerator) <= 6 and r.denominator <= 6}
+        remaining = Polynomial({(("x", k),): c for k, c in enumerate(left)})
+        assert _scale_of(remaining, _reference_split_off(poly, roots)) is not None
+    assert min(planted.values()) >= 10, planted
+
+
+def test_integer_root_search_at_plus_and_minus_one():
+    # q - p = 0 at x = 1 and q + p = 0 at x = -1: that test is skipped, the division decides
+    assert reduction._rational_roots([-1, 0, 1]) == ([Fraction(-1), Fraction(1)], [1])
+    assert reduction._rational_roots([1, -2, 1]) == ([Fraction(1)], [1])
+    assert reduction._rational_roots([0, 0, 1, 2, 1]) == ([Fraction(-1), Fraction(0)], [1])
+    assert reduction._rational_roots([2, 0, 1]) == ([], [2, 0, 1])
 
 
 def test_free_variable_over_inconsistent_equations_is_inconsistent():
