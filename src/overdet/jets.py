@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 from .errors import IndexRangeError, InfeasibleOrdersError, SystemShapeError
 # determinant stays importable here: the benchmark traces jets.determinant
-from .poly import Minors, Polynomial, determinant, extend_minors
+from .poly import Polynomial, determinant, extend_minors
 from .reduction import SideCondition
 
 MultiIndex = tuple[int, ...]
@@ -377,33 +377,24 @@ class ProlongedSystem:
 def prolong(system: PdeSystem, orders: Sequence[int], extended: bool = False) -> ProlongedSystem:
     """Differentiate every equation over the codec's index range.
 
-    Each multi-index is reached along the canonical path (all derivatives in
-    the first base variable, then the second, and so on); mixed partials of
-    polynomials commute, so the path only fixes the generation order.
-    Already-generated entries are cached and reused.
+    Equations are derived in the codec's index order, each from the same
+    equation with its last nonzero order lowered by one, which has a
+    smaller index and so is already derived.  Each multi-index is thus
+    reached along the canonical path (all derivatives in the first base
+    variable, then the second, and so on); mixed partials of polynomials
+    commute, so the path only fixes the generation order.
     """
     codec = IndexCodec(system.p, system.n, tuple(orders), extended=extended)
-    cache: dict[tuple[int, MultiIndex], Polynomial] = {}
-
-    def generate(k: int, i: MultiIndex) -> Polynomial:
-        key = (k, i)
-        if key in cache:
-            return cache[key]
-        if all(component == 0 for component in i):
-            value = system.equations[k - 1]
-        else:
-            last = max(position for position, component in enumerate(i) if component > 0)
-            lower = list(i)
-            lower[last] -= 1
-            value = total_derivative(
-                generate(k, tuple(lower)), last + 1, codec, system.base_vars
-            )
-        cache[key] = value
-        return value
-
-    equations = {
-        index: generate(k, i) for index, k, i in codec.iter_equations()
-    }
+    equations: dict[int, Polynomial] = {}
+    for index, k, i in codec.iter_equations():
+        if not any(i):
+            equations[index] = system.equations[k - 1]
+            continue
+        last = max(position for position, component in enumerate(i) if component > 0)
+        lower = i[:last] + (i[last] - 1,) + i[last + 1:]
+        equations[index] = total_derivative(
+            equations[codec.encode_equation(k, lower)], last + 1, codec, system.base_vars
+        )
     return ProlongedSystem(codec=codec, equations=equations, base_vars=system.base_vars)
 
 
@@ -448,36 +439,37 @@ def top_order_extraction(
     ]
     tops.sort(key=lambda jet: codec.encode_unknown(jet.v, jet.j))
     top_names = [jet.name for jet in tops]
+    top_set = set(top_names)
+    zero = Polynomial.zero()
+    # split each equation once per top jet: its linear coefficient is the
+    # row entry, and the part free of that jet is split by the next one
     rows: list[list[Polynomial]] = []
     for equation in equations:
-        row = [equation.partial_derivative(name) for name in top_names]
+        row = []
         rest = equation
-        for name, entry in zip(top_names, row):
-            for used in entry.variables():
-                if used in top_names:
-                    raise SystemShapeError(
-                        "equations are not linear in the top-order jets"
-                    )
-            rest = rest - entry * Polynomial.variable(name)
-        for used in rest.variables():
-            if used in top_names:
+        for name in top_names:
+            parts = rest.coefficients_in(name)
+            rest, entry = (parts + [zero, zero])[:2]
+            if len(parts) > 2 or top_set.intersection(entry.variables()):
                 raise SystemShapeError("equations are not linear in the top-order jets")
+            row.append(entry)
         rows.append(row + [-rest])
 
     # pivot for column k: the first remaining row that keeps the minor on
     # columns 0..k nonzero, as column-by-column elimination would choose;
-    # only that minor is probed, and only the kept row extends the table
+    # the table a candidate extends is the next one if the row is kept
     size = len(tops)
-    zero = Polynomial.zero()
     minors = {frozenset(): Polynomial.constant(1)}
     remaining = list(range(len(rows)))
     for col in range(size):
+        leading = frozenset(range(col + 1))
         for r in remaining:
-            if not _leading_minor(minors, rows[r], col).is_zero():
+            candidate = extend_minors(minors, rows[r])
+            if not candidate.get(leading, zero).is_zero():
                 break
         else:
             return TopOrderResult(ok=False, solved={}, conditions=[], residuals=[])
-        minors = extend_minors(minors, rows[r])
+        minors = candidate
         remaining.remove(r)
 
     # numerator c: the minor without column c, right-hand side moved to c
@@ -495,22 +487,6 @@ def top_order_extraction(
         conditions=[SideCondition(denominator)],
         residuals=residuals,
     )
-
-
-def _leading_minor(minors: Minors, row: Sequence[Polynomial], k: int) -> Polynomial:
-    """The minor on columns 0..k once ``row`` is appended to a table of minors
-    of k rows: the one entry of ``extend_minors(minors, row)`` for that set,
-    a sum of k+1 products along the new row."""
-    leading = frozenset(range(k + 1))
-    total = Polynomial.zero()
-    for col in range(k + 1):
-        minor = minors.get(leading - {col})
-        if minor is None or row[col].is_zero():
-            continue
-        term = minor * row[col]
-        # each of the k-col columns after col flips the sign once
-        total = total + (-term if (k - col) % 2 else term)
-    return total
 
 
 # -- order-vector minimization ---------------------------------------------------

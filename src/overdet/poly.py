@@ -756,9 +756,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]]):
+    def __init__(self, tokens: list[tuple[str, str, int]], end: int):
         self.tokens = tokens
         self.pos = 0
+        self.end = end  # column of an error at the end of input, one past the text
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -766,15 +767,15 @@ class _Parser:
     def take(self) -> tuple[str, str, int]:
         token = self.peek()
         if token is None:
-            raise PolynomialParseError("unexpected end of input")
+            raise PolynomialParseError("unexpected end of input", column=self.end)
         self.pos += 1
         return token
 
     def expect_op(self, op: str) -> None:
         token = self.peek()
         if token is None or token[0] != "op" or token[1] != op:
-            found = token[1] if token else "end of input"
-            raise PolynomialParseError(f"expected {op!r}, found {found!r}")
+            found, column = (token[1], token[2] + 1) if token else ("end of input", self.end)
+            raise PolynomialParseError(f"expected {op!r}, found {found!r}", column=column)
         self.pos += 1
 
     def parse(self) -> Polynomial:
@@ -856,5 +857,5 @@ def parse_polynomial(text: str) -> Polynomial:
     tokens = _tokenize(text)
     if not tokens:
         raise PolynomialParseError("empty polynomial expression")
-    return _Parser(tokens).parse()
+    return _Parser(tokens, len(text) + 1).parse()
 

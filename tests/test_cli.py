@@ -123,16 +123,21 @@ def test_solve_reports_a_zero_denominator_without_a_traceback(tmp_path, name, te
     assert "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("name, text, options, where", [
-    ("bad.poly", "vars x\neq x + * 2\neq x - 1\n", [], "line 2, column 8"),
+@pytest.mark.parametrize("name, text, options, message", [
+    ("bad.poly", "vars x\neq x + * 2\neq x - 1\n", [],
+     "unexpected token '*' (line 2, column 8)"),
     ("bad.pde", "unknowns 1\nsurplus 1\nvars x\neq S1[1] + * S1\neq S1[1] - S1\n",
-     ["--orders", "1"], "line 4, column 12"),
-], ids=["poly", "pde"])
-def test_parse_errors_show_line_and_column(tmp_path, capsys, name, text, options, where):
+     ["--orders", "1"], "unexpected token '*' (line 4, column 12)"),
+    ("paren.poly", "vars x\neq (x + 1 2\neq x - 1\n", [],
+     "expected ')', found '2' (line 2, column 11)"),
+    ("sum.poly", "vars x\neq x +\neq x - 1\n", [], "unexpected end of input (line 2, column 7)"),
+    ("power.poly", "vars x\neq x^\neq x - 1\n", [], "unexpected end of input (line 2, column 6)"),
+], ids=["poly", "pde", "paren", "sum", "power"])
+def test_parse_errors_show_line_and_column(tmp_path, capsys, name, text, options, message):
     path = tmp_path / name
     path.write_text(text)
     assert main(["solve", str(path), *options]) == 1
-    assert capsys.readouterr().err == f"error: unexpected token '*' ({where})\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_solve_three_curves_exit_zero(curves, capsys):

@@ -86,6 +86,14 @@ def test_parse_errors_in_equations_carry_the_column_in_the_raw_line():
     with pytest.raises(PolynomialParseError) as err:
         parse_pde_file("unknowns 1\nsurplus 1\nvars x\neq S1[1] + * S1\neq S1\n")
     assert (err.value.line, err.value.column) == (4, 12)
+    # a missing ')' points at the token found, the end of input one past the text
+    for equation, column in (("(x + 1 2", 11), ("x +", 7), ("x^", 6)):
+        with pytest.raises(PolynomialParseError) as err:
+            parse_poly_file(f"vars x\neq {equation}\n")
+        assert (err.value.line, err.value.column) == (2, column)
+    with pytest.raises(PolynomialParseError, match="expected '\\)'") as err:
+        parse_polynomial("(x")
+    assert err.value.column == 3
 
 
 def test_parse_pde_file_normalizes_jets():

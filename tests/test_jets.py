@@ -20,7 +20,7 @@ from overdet.jets import (
     top_order_extraction,
     total_derivative,
 )
-from overdet.poly import Polynomial, determinant, extend_minors, parse_polynomial
+from overdet.poly import Polynomial, determinant, parse_polynomial
 from overdet.reduction import SideCondition
 
 P = parse_polynomial
@@ -72,6 +72,8 @@ def test_codec_range_errors():
         codec.encode_unknown(1, (3,))
     with pytest.raises(IndexRangeError):
         codec.decode_equation(0)
+    with pytest.raises(IndexRangeError):
+        codec.decode_unknown(0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -86,11 +88,13 @@ def test_codec_bijectivity(p, n, orders, extended):
     seen = set()
     for index, k, i in codec.iter_equations():
         assert codec.encode_equation(k, i) == index
+        assert codec.decode_equation(index) == (k, i)
         seen.add(index)
     assert seen == set(range(1, codec.equation_count + 1))
     seen = set()
     for index, v, j in codec.iter_unknowns():
         assert codec.encode_unknown(v, j) == index
+        assert codec.decode_unknown(index) == (v, j)
         seen.add(index)
     assert seen == set(range(1, codec.unknown_count + 1))
 
@@ -269,6 +273,24 @@ def _random_pde(rng: random.Random, p: int, m: int) -> PdeSystem:
     return PdeSystem(p=p, n=n, base_vars=base, equations=tuple(equations))
 
 
+@pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
+def test_prolong_derives_each_equation_once(monkeypatch, extended):
+    calls = []
+    original = jets.total_derivative
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(jets, "total_derivative", counting)
+    rng = random.Random(31)
+    for p, m, orders in ((1, 1, (4,)), (2, 2, (2, 3)), (1, 3, (2, 1, 2))):
+        system = _random_pde(rng, p, m)
+        calls.clear()
+        prolonged = prolong(system, orders, extended=extended)
+        assert len(calls) == prolonged.n_h - (system.p + system.n)
+
+
 def test_chain_rule_soundness():
     """Total derivative agrees with the ordinary derivative along a solution jet."""
     rng = random.Random(23)
@@ -361,6 +383,18 @@ def test_top_order_extraction_rank_deficiency():
     prolonged = prolong(system, (1, 1))
     result = top_order_extraction(system, prolonged, (0, 0))
     assert not result.ok
+
+
+@pytest.mark.parametrize("base_vars, equations", [
+    (("x",), ("S1[1]^2 - S1", "S1[1] - S1")),
+    (("x", "y"), ("S1[1,0] - S1", "S1[1,0]*S1[0,1] - S1")),
+    (("x", "y"), ("S1[1,0] + S1[0,1]^2", "S1[0,1] - S1")),
+], ids=["square", "product", "square-in-a-later-column"])
+def test_top_order_extraction_rejects_equations_not_linear_in_the_top_jets(base_vars, equations):
+    system = PdeSystem(p=1, n=1, base_vars=base_vars, equations=tuple(map(P, equations)))
+    prolonged = prolong(system, (1,) * len(base_vars))
+    with pytest.raises(SystemShapeError, match="not linear in the top-order jets"):
+        top_order_extraction(system, prolonged, (0,) * len(base_vars))
 
 
 def _greedy_cramer_extraction(system, prolonged, i):
@@ -463,29 +497,6 @@ def test_top_order_extraction_matches_greedy_cramer():
         deficient += not expected.ok
         out_of_order += selected != sorted(selected) or selected[:1] not in ([], [0])
     assert deficient >= 5 and out_of_order >= 5
-
-
-def test_top_order_extraction_extends_only_kept_rows(monkeypatch):
-    calls = []
-
-    def counting(minors, row):
-        calls.append(row)
-        return extend_minors(minors, row)
-
-    monkeypatch.setattr(jets, "extend_minors", counting)
-    rng = random.Random(20240)
-    solved = 0
-    for _ in range(80):
-        system, prolonged, i = _random_pde_system(rng)
-        calls.clear()
-        result = top_order_extraction(system, prolonged, i)
-        size = system.m * system.p
-        if result.ok:
-            solved += 1
-            assert len(calls) == size + len(result.residuals) == system.p + system.n
-        else:
-            assert len(calls) < size
-    assert solved >= 40
 
 
 # -- order minimization ---------------------------------------------------------
