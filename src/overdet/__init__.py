@@ -21,7 +21,7 @@ from .jets import (
 )
 from .oracle import gcd_univariate, rational_root_search, sylvester_resultant
 from .poly import Polynomial, Scalar, determinant, parse_polynomial
-from .rank import JacobianMatrix, RankReport, certify, count_active_unknowns, exact_rank, jacobian
+from .rank import JacobianMatrix, RankReport, certify, exact_rank, jacobian
 from .reduction import (
     ReductionOutcome,
     ReductionStep,
@@ -50,7 +50,6 @@ __all__ = [
     "SideCondition",
     "TopOrderResult",
     "certify",
-    "count_active_unknowns",
     "determinant",
     "eliminate_variable",
     "exact_rank",

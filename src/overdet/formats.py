@@ -95,7 +95,7 @@ def parse_poly_file(text: str) -> tuple[tuple[str, ...], list[Polynomial]]:
         elif keyword == "eq":
             if variables is None:
                 raise PolynomialParseError("eq before vars line", line=number)
-            equations.append(_parse_equation(rest, number, offset + len(keyword) + 1))
+            equations.append(_parse_equation(rest, number, offset + len(line) - len(rest)))
         else:
             raise PolynomialParseError(f"unknown directive {keyword!r}", line=number)
     if variables is None:
@@ -130,7 +130,7 @@ def parse_pde_file(text: str) -> PdeSystem:
         elif keyword == "eq":
             if base_vars is None:
                 raise PolynomialParseError("eq before vars line", line=number)
-            equations.append(_parse_equation(rest, number, offset + len(keyword) + 1))
+            equations.append(_parse_equation(rest, number, offset + len(line) - len(rest)))
         else:
             raise PolynomialParseError(f"unknown directive {keyword!r}", line=number)
     if p is None or n is None or base_vars is None:

@@ -184,6 +184,16 @@ class IndexCodec:
     def max_j(self) -> tuple[int, ...]:
         return tuple(size - 1 for size in self._j_sizes())
 
+    def _equation_strides(self) -> tuple[int, ...]:
+        """What one more derivative along each base variable adds to an
+        equation index: the radix of that digit."""
+        strides = []
+        radix = self.p + self.n
+        for size in self._i_sizes():
+            strides.append(radix)
+            radix *= size
+        return tuple(strides)
+
     @staticmethod
     def _encode(offset: int, width: int, parts: MultiIndex, sizes: tuple[int, ...]) -> int:
         value = offset
@@ -212,16 +222,6 @@ class IndexCodec:
         """Index of jet variable (v, j) within this codec's unknown range."""
         self._check(v, j, 1, self.p, self.max_j(), "unknown")
         return self._encode(v, self.p, j, self._j_sizes())
-
-    def decode_unknown(self, index: int) -> tuple[int, MultiIndex]:
-        if not 1 <= index <= self.unknown_count:
-            raise IndexRangeError(f"unknown index {index} outside 1..{self.unknown_count}")
-        rest, v = divmod(index - 1, self.p)
-        parts = []
-        for size in self._j_sizes():
-            rest, part = divmod(rest, size)
-            parts.append(part)
-        return v + 1, tuple(parts)
 
     def _check(self, head: int, parts: MultiIndex, lo: int, hi: int, maxima, what: str) -> None:
         if not lo <= head <= hi:
@@ -271,7 +271,7 @@ def total_derivative(
         raise IndexRangeError(f"direction {s} outside 1..{codec.m}")
     images = _jet_images(codec, s, tuple(base_vars))
     try:
-        return poly.derivation(images)
+        return poly.derivation(images, images.terms)
     except IndexRangeError:
         # report the first bad name in name order, not in term order
         for var in poly.variables():
@@ -283,13 +283,32 @@ def total_derivative(
 #: codec's range, apart from the function index
 _MEMO_NAMES = 1 << 14
 
+#: term keys one memo of jet images keeps the derivation parts of at most.
+#: A key with its parts takes about 0.42 KB in prolonged systems (keys of
+#: two jets on average), so the 64 memos ``_jet_images`` keeps hold at most
+#: about 64 * 8192 * 0.42 KB = 220 MB; the largest memo of the benchmark's
+#: jet-certify sizes holds 3,261 keys.
+_MEMO_TERMS = 1 << 13
+
+
+class _TermMemo(dict):
+    """Derivation parts of term keys, keyed by term key; a key met once the
+    memo holds ``_MEMO_TERMS`` keys is derived again each time."""
+
+    def __setitem__(self, key, parts):
+        if len(self) < _MEMO_TERMS:
+            super().__setitem__(key, parts)
+
 
 class _JetImages(dict):
     """The images of ``total_derivative`` along one direction of one codec,
     resolved and validated on first use: a jet's name maps to its shifted
     name, the direction's base variable to 1 and other base variables to
     None.  A name that is neither raises ``IndexRangeError`` every time it
-    is asked for, and nothing is stored for it."""
+    is asked for, and nothing is stored for it.  ``terms`` is the memo of
+    derivation parts under these images that ``total_derivative`` hands to
+    :meth:`Polynomial.derivation`: prolongation meets the same term keys in
+    many equations, and each is resolved once."""
 
     # ``get`` is dict lookup, so a name not yet seen reaches __missing__
     get = dict.__getitem__
@@ -300,6 +319,7 @@ class _JetImages(dict):
         self.s = s
         self.base_vars = base_vars
         self.limits = tuple(order + 1 for order in codec.orders)  # extended j bound
+        self.terms = _TermMemo()
 
     def __missing__(self, var: str) -> str | int | None:
         jet = parse_jet_name(var, self.m)
@@ -379,21 +399,24 @@ def prolong(system: PdeSystem, orders: Sequence[int], extended: bool = False) ->
 
     Equations are derived in the codec's index order, each from the same
     equation with its last nonzero order lowered by one, which has a
-    smaller index and so is already derived.  Each multi-index is thus
-    reached along the canonical path (all derivatives in the first base
-    variable, then the second, and so on); mixed partials of polynomials
-    commute, so the path only fixes the generation order.
+    smaller index and so is already derived: lowering order l by one takes
+    the codec's l-th stride (the radix of that digit) off the index.  Each
+    multi-index is thus reached along the canonical path (all derivatives
+    in the first base variable, then the second, and so on); mixed partials
+    of polynomials commute, so the path only fixes the generation order.
+    ``total_derivative`` keeps one memo of jet images and term-key parts
+    per direction, so a term key met again is not derived again.
     """
     codec = IndexCodec(system.p, system.n, tuple(orders), extended=extended)
+    strides = codec._equation_strides()
     equations: dict[int, Polynomial] = {}
     for index, k, i in codec.iter_equations():
         if not any(i):
             equations[index] = system.equations[k - 1]
             continue
         last = max(position for position, component in enumerate(i) if component > 0)
-        lower = i[:last] + (i[last] - 1,) + i[last + 1:]
         equations[index] = total_derivative(
-            equations[codec.encode_equation(k, lower)], last + 1, codec, system.base_vars
+            equations[index - strides[last]], last + 1, codec, system.base_vars
         )
     return ProlongedSystem(codec=codec, equations=equations, base_vars=system.base_vars)
 

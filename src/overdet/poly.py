@@ -36,7 +36,7 @@ from bisect import bisect_left
 from functools import reduce
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, MutableMapping, Sequence, Union
 
 from .errors import MissingAssignmentError, PolynomialParseError
 
@@ -145,6 +145,27 @@ def _times_variable(key: Term, var: str, exp: int = 1) -> Term:
     return key[:index] + ((var, exp),) + key[index:]
 
 
+def _key_derivation(
+    key: Term, get: Callable[[str], str | int | None]
+) -> tuple[tuple[Term, int], ...]:
+    """The parts of ``key`` under a derivation whose images ``get``
+    returns: ``((key/x)*image(x), e)`` for each variable x of exponent e
+    with an image, in key order."""
+    parts = []
+    for index, (var, exp) in enumerate(key):
+        image = get(var)
+        if image is None:
+            continue
+        if exp > 1:
+            lowered = key[:index] + ((var, exp - 1),) + key[index + 1:]
+        else:
+            lowered = key[:index] + key[index + 1:]
+        if image != 1:
+            lowered = _times_variable(lowered, image)
+        parts.append((lowered, exp))
+    return tuple(parts)
+
+
 def _integral(value: ScalarLike) -> ScalarLike:
     """An integral ``Fraction`` as its int numerator, so that products with
     it stay in int arithmetic; any other value unchanged."""
@@ -199,9 +220,13 @@ class Polynomial:
         positive ``den``; zeros are dropped and, when ``den != 1``, the gcd
         shared by ``den`` and every numerator is divided out.  Arithmetic on
         existing polynomials keeps these conditions, so it skips the
-        validation of the public constructor."""
+        validation of the public constructor.  ``terms`` must be a dict the
+        caller no longer changes: without zeros and a shared factor it
+        becomes the polynomial's own, uncopied, so its keys are not hashed
+        again."""
         poly = object.__new__(cls)
-        terms = {key: coeff for key, coeff in terms.items() if coeff}
+        if 0 in terms.values():
+            terms = {key: coeff for key, coeff in terms.items() if coeff}
         if den != 1:
             shared = gcd(den, *terms.values())
             if shared != 1:
@@ -515,30 +540,34 @@ class Polynomial:
     def partial_derivative(self, var: str) -> "Polynomial":
         return self.derivation({var: 1})
 
-    def derivation(self, images: Mapping[str, str | int]) -> "Polynomial":
+    def derivation(
+        self,
+        images: Mapping[str, str | int],
+        memo: MutableMapping[Term, tuple[tuple[Term, int], ...]] | None = None,
+    ) -> "Polynomial":
         """Sum of ``dP/dx * image(x)`` over the variables x in ``images``.
 
         An image is a variable name, or 1 for the plain partial.  Each term
         ``c*m`` contributes ``c*e*(m/x)*image`` for each mapped variable x of
-        exponent e, all in one walk over the terms.  Images are read with
-        ``images.get``, once per occurrence, so a mapping that resolves
-        names on demand sees only the variables that occur.
+        exponent e, in the order of x in the key.  A key is resolved to its
+        parts, the ``((m/x)*image, e)`` pairs, once: ``memo`` holds the
+        parts of keys met before under the same ``images``, and gains those
+        of each new key once all its images have resolved, so a key whose
+        image raises leaves nothing behind.  Without a memo the parts live
+        for one call.  Images are read with ``images.get``, once per
+        occurrence in a new key, so a mapping that resolves names on demand
+        sees only the variables that occur.
         """
         get = images.get
+        parts_of = {} if memo is None else memo
         acc: dict[Term, int] = {}
+        acc_get = acc.get
         for key, coeff in self._terms.items():
-            for index, (var, exp) in enumerate(key):
-                image = get(var)
-                if image is None:
-                    continue
-                if exp > 1:
-                    lowered = key[:index] + ((var, exp - 1),) + key[index + 1:]
-                else:
-                    lowered = key[:index] + key[index + 1:]
-                if image != 1:
-                    lowered = _times_variable(lowered, image)
-                term = coeff * exp if exp > 1 else coeff
-                acc[lowered] = acc[lowered] + term if lowered in acc else term
+            parts = parts_of.get(key)
+            if parts is None:
+                parts = parts_of[key] = _key_derivation(key, get)
+            for lowered, exp in parts:
+                acc[lowered] = acc_get(lowered, 0) + (coeff * exp if exp > 1 else coeff)
         return Polynomial._canonical(acc, self._den)
 
     def gradient_at(self, point: Mapping[str, ScalarLike]) -> dict[str, Fraction]:
@@ -781,13 +810,16 @@ class _Parser:
     def parse(self) -> Polynomial:
         result = self.expression()
         token = self.peek()
-        if token is not None:
-            raise PolynomialParseError(
-                f"unexpected trailing input {token[1]!r} "
-                "(implicit multiplication is not allowed)",
-                column=token[2] + 1,
-            )
-        return result
+        if token is None:
+            return result
+        kind, text, pos = token
+        if text == ")":
+            message = "unexpected ')' with no matching '('"
+        elif kind != "op" or text == "(":
+            message = f"unexpected trailing input {text!r} (implicit multiplication is not allowed)"
+        else:
+            message = f"unexpected trailing input {text!r}"
+        raise PolynomialParseError(message, column=pos + 1)
 
     def expression(self) -> Polynomial:
         value = self.term()
@@ -856,6 +888,6 @@ def parse_polynomial(text: str) -> Polynomial:
     """Parse polynomial text."""
     tokens = _tokenize(text)
     if not tokens:
-        raise PolynomialParseError("empty polynomial expression")
+        raise PolynomialParseError("empty polynomial expression", column=len(text) + 1)
     return _Parser(tokens, len(text) + 1).parse()
 

@@ -182,19 +182,6 @@ def _divide_content(row: dict[int, int]) -> dict[int, int]:
     return {col: value // content for col, value in row.items()}
 
 
-def count_active_unknowns(prolonged: ProlongedSystem) -> int:
-    """Number of jet unknowns with a not-identically-zero partial somewhere.
-
-    Over the rationals a variable occurs in a polynomial exactly when some
-    partial with respect to it is nonzero, so an occurrence scan suffices.
-    """
-    names = _unknown_columns(prolonged.codec)
-    occurring = set()
-    for equation in prolonged.equations.values():
-        occurring.update(equation.variables())
-    return len(occurring.intersection(names))
-
-
 def active_unknown_bound(codec: IndexCodec) -> Fraction:
     """Upper estimate for the active-unknown count from the system shape:
     equations * p/(p+n) * (1 + sum of reciprocal orders)."""

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from overdet.jets import IndexCodec, ProlongedSystem
 from overdet.oracle import gcd_univariate
 from overdet.poly import Polynomial
 
@@ -56,3 +57,26 @@ def common_rational_roots(f: Polynomial, g: Polynomial, var: str = "x") -> set[F
     if g.is_zero():
         return rational_roots_of(f, var)
     return rational_roots_of(gcd_univariate(f, g, var), var)
+
+
+def decode_unknown(codec: IndexCodec, index: int) -> tuple[int, tuple[int, ...]]:
+    """``(v, j)`` of a 1-based unknown index, the inverse of
+    ``codec.encode_unknown``: v varies fastest, then j_1, and j_m slowest."""
+    assert 1 <= index <= codec.unknown_count
+    rest, v = divmod(index - 1, codec.p)
+    parts = []
+    for top in codec.max_j():
+        rest, part = divmod(rest, top + 1)
+        parts.append(part)
+    return v + 1, tuple(parts)
+
+
+def count_active_unknowns(prolonged: ProlongedSystem) -> int:
+    """Number of jet unknowns that occur in some prolonged equation; over
+    the rationals these are exactly the ones with a partial that is not
+    identically zero."""
+    names = {jet.name for jet in prolonged.unknowns().values()}
+    occurring = set()
+    for equation in prolonged.equations.values():
+        occurring.update(equation.variables())
+    return len(occurring & names)

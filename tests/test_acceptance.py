@@ -22,7 +22,7 @@ from overdet.jets import (
 )
 from overdet.oracle import gcd_univariate, rational_root_search, sylvester_resultant
 from overdet.poly import Polynomial, parse_polynomial
-from overdet.rank import active_unknown_bound, certify, count_active_unknowns, exact_rank
+from overdet.rank import active_unknown_bound, certify, exact_rank
 from overdet.reduction import (
     eliminate_variable,
     reduce_chain,
@@ -30,7 +30,12 @@ from overdet.reduction import (
     solve_overdetermined,
 )
 
-from helpers import common_rational_roots, random_univariate, rational_roots_of
+from helpers import (
+    common_rational_roots,
+    count_active_unknowns,
+    random_univariate,
+    rational_roots_of,
+)
 
 P = parse_polynomial
 

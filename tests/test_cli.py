@@ -132,7 +132,10 @@ def test_solve_reports_a_zero_denominator_without_a_traceback(tmp_path, name, te
      "expected ')', found '2' (line 2, column 11)"),
     ("sum.poly", "vars x\neq x +\neq x - 1\n", [], "unexpected end of input (line 2, column 7)"),
     ("power.poly", "vars x\neq x^\neq x - 1\n", [], "unexpected end of input (line 2, column 6)"),
-], ids=["poly", "pde", "paren", "sum", "power"])
+    ("stray.poly", "vars x\neq x)\neq x - 1\n", [],
+     "unexpected ')' with no matching '(' (line 2, column 5)"),
+    ("empty.poly", "vars x\neq\neq x - 1\n", [], "empty polynomial expression (line 2, column 3)"),
+], ids=["poly", "pde", "paren", "sum", "power", "stray-paren", "empty"])
 def test_parse_errors_show_line_and_column(tmp_path, capsys, name, text, options, message):
     path = tmp_path / name
     path.write_text(text)

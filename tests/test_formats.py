@@ -94,6 +94,14 @@ def test_parse_errors_in_equations_carry_the_column_in_the_raw_line():
     with pytest.raises(PolynomialParseError, match="expected '\\)'") as err:
         parse_polynomial("(x")
     assert err.value.column == 3
+    # an empty equation points one past its eq, whatever blanks or comment follow
+    for line, column in (("eq", 3), ("eq   ", 3), ("  eq  # none", 5)):
+        with pytest.raises(PolynomialParseError, match="empty polynomial expression") as err:
+            parse_poly_file(f"vars x\n{line}\n")
+        assert (err.value.line, err.value.column) == (2, column)
+    with pytest.raises(PolynomialParseError) as err:
+        parse_pde_file("unknowns 1\nsurplus 1\nvars x\neq S1[1] - S1\neq\n")
+    assert (err.value.line, err.value.column) == (5, 3)
 
 
 def test_parse_pde_file_normalizes_jets():

@@ -23,6 +23,8 @@ from overdet.jets import (
 from overdet.poly import Polynomial, determinant, parse_polynomial
 from overdet.reduction import SideCondition
 
+from helpers import decode_unknown
+
 P = parse_polynomial
 
 
@@ -73,7 +75,7 @@ def test_codec_range_errors():
     with pytest.raises(IndexRangeError):
         codec.decode_equation(0)
     with pytest.raises(IndexRangeError):
-        codec.decode_unknown(0)
+        codec.encode_unknown(0, (0,))
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,7 +96,7 @@ def test_codec_bijectivity(p, n, orders, extended):
     seen = set()
     for index, v, j in codec.iter_unknowns():
         assert codec.encode_unknown(v, j) == index
-        assert codec.decode_unknown(index) == (v, j)
+        assert decode_unknown(codec, index) == (v, j)
         seen.add(index)
     assert seen == set(range(1, codec.unknown_count + 1))
 
@@ -557,10 +559,29 @@ def test_pde_system_validation():
 # -- memoized jet images against a separate validation pass --------------------
 
 
+def _walk_derivation(poly, images):
+    """The derivation term by term and, within a term, variable by variable
+    in key order, each contribution added under its key as it is met: the
+    values and the term order a derivation gives, with no parts memo."""
+    acc = {}
+    for key, coeff in poly._terms.items():
+        for var, exp in key:
+            image = images.get(var)
+            if image is None:
+                continue
+            exps = dict(key)
+            exps[var] -= 1
+            if image != 1:
+                exps[image] = exps.get(image, 0) + 1
+            lowered = tuple(sorted((v, e) for v, e in exps.items() if e))
+            acc[lowered] = acc.get(lowered, 0) + coeff * exp
+    return Polynomial._canonical(acc, poly._den)
+
+
 def _reference_total_derivative(poly, s, codec, base_vars=()):
     """The total derivative with every occurring name parsed and checked in a
-    pass of its own, in name order, before one derivation over a plain
-    image dict."""
+    pass of its own, in name order, before one walk over the terms with a
+    plain image dict."""
     if not 1 <= s <= codec.m:
         raise IndexRangeError(f"direction {s} outside 1..{codec.m}")
     limits = tuple(order + 1 for order in codec.orders)
@@ -590,7 +611,7 @@ def _reference_total_derivative(poly, s, codec, base_vars=()):
                 f"derivative of jet {var} along direction {s} leaves the extended range"
             )
         images[var] = shifted
-    return poly.derivation(images)
+    return _walk_derivation(poly, images)
 
 
 def _reference_prolong(system, orders, extended=False):
@@ -646,6 +667,18 @@ def test_codecs_with_different_orders_keep_separate_memos():
                 assert str(raised.value) == str(error)
             else:
                 assert total_derivative(poly, 1, codec, ("x",)) == expected
+    # a key whose image raises leaves nothing in the memo, while the key
+    # derived before it stays; under the wide codec the same key derives
+    jets._jet_images.cache_clear()
+    walked = P("x*S1[1] + S1[2]*S1[0]")
+    good, failing = list(walked._terms)
+    with pytest.raises(IndexRangeError, match="leaves the extended range"):
+        total_derivative(walked, 1, narrow, ("x",))
+    assert list(jets._jet_images(narrow, 1, ("x",)).terms) == [good]
+    q = total_derivative(walked, 1, wide, ("x",))
+    expected = _reference_total_derivative(walked, 1, wide, ("x",))
+    assert list(q._terms.items()) == list(expected._terms.items())
+    assert failing in jets._jet_images(wide, 1, ("x",)).terms
     # the same codec under another base-variable tuple: x is then undeclared
     jets._jet_images.cache_clear()
     assert total_derivative(poly, 1, wide, ("x",)) == P("S1[3]*S1[0] + S1[2]*S1[1] - S1[1] - x*S1[2]")
@@ -662,6 +695,53 @@ def test_codecs_with_different_orders_keep_separate_memos():
                     assert total_derivative(equation, s, codec, system.base_vars) == (
                         _reference_total_derivative(equation, s, codec, system.base_vars)
                     )
+
+
+def test_a_memo_hit_gives_the_same_terms_in_the_same_order():
+    rng = random.Random(227)
+    codec = IndexCodec(2, 2, (3, 3), extended=True)
+    for _ in range(10):
+        system = _random_pde(rng, p=2, m=2)
+        for s in (1, 2):
+            for equation in system.equations:
+                jets._jet_images.cache_clear()
+                expected = _reference_total_derivative(equation, s, codec, system.base_vars)
+                for _ in range(2):  # the second call finds every key in the memo
+                    q = total_derivative(equation, s, codec, system.base_vars)
+                    assert list(q._terms.items()) == list(expected._terms.items())
+                    assert q == expected
+                memo = jets._jet_images(codec, s, system.base_vars).terms
+                assert set(memo) == set(equation._terms)
+
+
+def test_prolong_is_unchanged_when_the_memo_keeps_nothing(monkeypatch):
+    rng = random.Random(229)
+    systems = [
+        (_random_pde(rng, p=rng.randint(1, 2), m=m), m) for m in (1, 2, 3) for _ in range(3)
+    ]
+
+    def printed_prolongs():
+        jets._jet_images.cache_clear()
+        return [
+            [(index, list(q._terms.items()), q._den, str(q))
+             for index, q in prolong(system, (2,) * m, extended=True).equations.items()]
+            for system, m in systems
+        ]
+
+    def memo_sizes():
+        sizes = []
+        for system, m in systems:
+            codec = IndexCodec(system.p, system.n, (2,) * m, extended=True)
+            for s in range(1, m + 1):
+                sizes.append(len(jets._jet_images(codec, s, system.base_vars).terms))
+        return sizes
+
+    expected = printed_prolongs()
+    assert all(memo_sizes())
+    monkeypatch.setattr(jets, "_MEMO_TERMS", 0)
+    assert printed_prolongs() == expected
+    assert not any(memo_sizes())
+    jets._jet_images.cache_clear()
 
 
 @pytest.mark.parametrize("warm", [False, True])

@@ -132,6 +132,27 @@ def test_parse_rejects_implicit_multiplication():
         P("2x")
 
 
+@pytest.mark.parametrize("text, message, column", [
+    ("x y", "unexpected trailing input 'y' (implicit multiplication is not allowed)", 3),
+    ("x 2", "unexpected trailing input '2' (implicit multiplication is not allowed)", 3),
+    ("x (y)", "unexpected trailing input '(' (implicit multiplication is not allowed)", 3),
+    ("x)", "unexpected ')' with no matching '('", 2),
+    ("(x + 1))", "unexpected ')' with no matching '('", 8),
+    ("x^2^3", "unexpected trailing input '^'", 4),
+], ids=["name", "number", "paren", "stray-paren", "extra-paren", "power"])
+def test_trailing_input_hints_only_where_they_fit(text, message, column):
+    with pytest.raises(PolynomialParseError) as err:
+        P(text)
+    assert (str(err.value), err.value.column) == (message, column)
+
+
+def test_empty_input_points_one_past_the_text():
+    for text, column in (("", 1), ("   ", 4)):
+        with pytest.raises(PolynomialParseError, match="empty polynomial expression") as err:
+            P(text)
+        assert err.value.column == column
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(PolynomialParseError):
         P("x +")
@@ -608,6 +629,21 @@ def test_operations_agree_with_a_fraction_reference():
         assert _ref((f * scale).exact_quotient(Polynomial.constant(scale))) == a
         for result in (f + g, f * g, f.primitive_part(), f.derivation(images)):
             _assert_canonical(result)
+
+
+def test_derivation_with_a_memo_gives_the_same_terms_in_the_same_order():
+    rng = random.Random(113)
+    names = ["u", "v", "w"]
+    images = {"u": "v", "v": 1, "w": "u"}
+    memo = {}
+    for _ in range(100):
+        f = _mixed_poly(rng, names, rng.randint(0, 6))
+        expected = f.derivation(images)
+        for _ in range(2):  # the second derivation finds every key in the memo
+            q = f.derivation(images, memo)
+            assert list(q._terms.items()) == list(expected._terms.items())
+            assert q._den == expected._den
+        assert set(f._terms) <= set(memo)
 
 
 def test_evaluate_at_non_integral_and_mixed_points_agrees_with_the_reference():

@@ -12,10 +12,11 @@ from overdet.rank import (
     RankReport,
     active_unknown_bound,
     certify,
-    count_active_unknowns,
     exact_rank,
     jacobian,
 )
+
+from helpers import count_active_unknowns
 
 P = parse_polynomial
 
