@@ -225,25 +225,6 @@ def prolonged_to_dict(prolonged: ProlongedSystem) -> dict:
     }
 
 
-def prolonged_from_dict(data: Mapping[str, Any]) -> ProlongedSystem:
-    codec_data = data["codec"]
-    codec = IndexCodec(
-        p=codec_data["p"],
-        n=codec_data["n"],
-        orders=tuple(codec_data["orders"]),
-        extended=codec_data["extended"],
-    )
-    equations = {
-        entry["alpha"]: parse_polynomial(entry["polynomial"])
-        for entry in data["equations"]
-    }
-    return ProlongedSystem(
-        codec=codec,
-        equations=equations,
-        base_vars=tuple(codec_data["base_vars"]),
-    )
-
-
 def rank_report_to_dict(report: RankReport) -> dict:
     return {
         "rank": report.rank,

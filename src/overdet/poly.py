@@ -12,12 +12,14 @@ polynomials are equal exactly when their values are, and a constant
 polynomial hashes as its value.  Term keys, printing and
 :meth:`Polynomial.variables` all order variables by name.
 
-Products are where elimination spends its time.  A product of at least
-``_PACKED_MIN_PAIRS`` term pairs packs each term key of both operands into
-one int, a bit field per variable wide enough that no field of a product
-overflows, so that multiplying two keys is one int addition; each result
-key is unpacked once.  Smaller products multiply the key tuples pair by
-pair, which is cheaper when packing cannot pay for itself.
+Products and exact quotients are where elimination spends its time.  A
+product of at least ``_PACKED_MIN_PAIRS`` term pairs packs each term key of
+both operands into one int, a bit field per variable wide enough that no
+field of a product overflows, so that multiplying two keys is one int
+addition; each result key is unpacked once.  Smaller products multiply the
+key tuples pair by pair, which is cheaper when packing cannot pay for
+itself.  Exact division always runs on packed keys, with a guard bit above
+each field that shows a failed divisibility test or an overflow.
 
 Text syntax accepted by :func:`parse_polynomial`: named variables combined
 with ``+ - * ^``, integer or rational literals such as ``-3/4``, parentheses
@@ -54,13 +56,6 @@ Term = tuple[tuple[str, int], ...]
 TermLike = Union[Iterable[tuple[str, int]], Mapping[str, int]]
 
 
-def _exponent(key: Term, var: str) -> int:
-    for v, e in key:
-        if v == var:
-            return e
-    return 0
-
-
 def _key_product(left: Term, right: Term) -> Term:
     if not left or not right:
         return left or right
@@ -90,38 +85,59 @@ def _top_exponents(terms: Iterable[Term]) -> dict[str, int]:
     return tops
 
 
-def _packed_product(left: Mapping[Term, int], right: Mapping[Term, int]) -> dict[Term, int]:
-    """The numerators of the product of two term maps, computed on packed
-    exponent vectors (Monagan and Pearce, CASC 2007).
+def _packing(
+    top_left: Mapping[str, int], top_right: Mapping[str, int], guard: bool = False
+) -> tuple[list[tuple[str, int, int]], dict[str, int], int]:
+    """The layout of packed exponent vectors for terms whose exponents
+    reach at most the sums of ``top_left`` and ``top_right``:
+    ``(fields, offsets, guards)``.
 
-    Each variable gets one bit field of an int, in name order, as wide as
-    the bit length of its largest exponent in ``left`` plus its largest
-    exponent in ``right``, so no field of a product overflows into the next
-    and multiplying two term keys is one int addition.  The products of the
-    numerators accumulate under packed keys, and each nonzero sum is
-    unpacked once, in order of first insertion: the terms and their order
-    are those the pair loop over term keys gives.
+    Each variable gets one bit field, as wide as the bit length of its two
+    largest exponents summed, with one guard bit above it when ``guard`` is
+    set.  The first variable in name order takes the highest field, so
+    comparing packed ints compares term keys lexicographically over the
+    name-sorted variables.  ``fields`` lists ``(variable, offset, mask)`` in
+    name order, ``offsets`` maps each variable to its offset, and ``guards``
+    is the mask of the guard bits.
     """
-    top_left, top_right = _top_exponents(left), _top_exponents(right)
-    fields: list[tuple[str, int, int]] = []  # (variable, offset, mask)
+    fields: list[tuple[str, int, int]] = []
     offsets: dict[str, int] = {}
-    offset = 0
-    for var in sorted(top_left.keys() | top_right.keys()):
+    guards = offset = 0
+    for var in sorted(top_left.keys() | top_right.keys(), reverse=True):
         width = (top_left.get(var, 0) + top_right.get(var, 0)).bit_length()
         fields.append((var, offset, (1 << width) - 1))
         offsets[var] = offset
         offset += width
-    packed_right = []
-    for key, coeff in right.items():
-        packed = 0
-        for var, exp in key:
-            packed += exp << offsets[var]
-        packed_right.append((packed, coeff))
+        if guard:
+            guards |= 1 << offset
+            offset += 1
+    fields.reverse()
+    return fields, offsets, guards
+
+
+def _pack(key: Term, offsets: Mapping[str, int]) -> int:
+    packed = 0
+    for var, exp in key:
+        packed += exp << offsets[var]
+    return packed
+
+
+def _packed_product(left: Mapping[Term, int], right: Mapping[Term, int]) -> dict[Term, int]:
+    """The numerators of the product of two term maps, computed on packed
+    exponent vectors (Monagan and Pearce, CASC 2007).
+
+    Each term key is packed once (:func:`_packing`, no guard bits), so no
+    field of a product overflows into the next and multiplying two term
+    keys is one int addition.  The products of the numerators accumulate
+    under packed keys, and each nonzero sum is unpacked once, in order of
+    first insertion: the terms and their order are those the pair loop over
+    term keys gives.
+    """
+    fields, offsets, _ = _packing(_top_exponents(left), _top_exponents(right))
+    packed_right = [(_pack(key, offsets), coeff) for key, coeff in right.items()]
     acc: dict[int, int] = {}
     for key, c1 in left.items():
-        p1 = 0
-        for var, exp in key:
-            p1 += exp << offsets[var]
+        p1 = _pack(key, offsets)
         for p2, c2 in packed_right:
             packed = p1 + p2
             if packed in acc:
@@ -400,58 +416,69 @@ class Polynomial:
         only scale the result.  Each step divides with ``//`` when the
         divisor's leading numerator divides exactly, which it always does
         when q has integer numerators, and is exact over the rationals
-        otherwise.  The remainder is kept as exponent vectors with a heap of
-        its terms, so each step pops its leading term instead of rescanning.
-        Raises ``ValueError`` when ``divisor`` does not divide exactly and
-        ``ZeroDivisionError`` when it is zero.
+        otherwise.
+
+        Term keys are packed once (:func:`_packing`), with fields wide
+        enough for the sum of the two operands' largest exponents and a
+        guard bit above each, so int order is the term order.  The
+        remainder maps packed keys to numerators, with a heap of its negated
+        keys, so each step pops its leading term instead of rescanning.  A
+        leading term is divisible when subtracting the divisor's leading key
+        clears no guard bit.  A new remainder key that sets a guard bit
+        proves the division inexact, since in an exact division no
+        intermediate exponent exceeds the dividend's.  The quotient is
+        unpacked once.  Raises ``ValueError`` when ``divisor`` does not
+        divide exactly and ``ZeroDivisionError`` when it is zero.
         """
         if not divisor._terms:
             raise ZeroDivisionError("polynomial division by zero")
-        names = sorted({v for key in (*self._terms, *divisor._terms) for v, _ in key})
-
-        def vector(key: Term) -> tuple[int, ...]:
-            exps = dict(key)
-            return tuple(exps.get(v, 0) for v in names)
-
+        fields, offsets, guards = _packing(
+            _top_exponents(self._terms), _top_exponents(divisor._terms), guard=True
+        )
         divisor_terms = sorted(
-            ((vector(key), coeff) for key, coeff in divisor._terms.items()), reverse=True
+            ((_pack(key, offsets), coeff) for key, coeff in divisor._terms.items()), reverse=True
         )
         (lead, lead_coeff), rest = divisor_terms[0], divisor_terms[1:]
-        remainder = {vector(key): coeff for key, coeff in self._terms.items()}
-        # a max-heap of the remainder's exponent vectors; entries of terms
-        # that cancelled stay behind and are skipped when popped
-        heap = [tuple(-e for e in exps) for exps in remainder]
+        remainder = {_pack(key, offsets): coeff for key, coeff in self._terms.items()}
+        # a max-heap of the remainder's packed keys; entries of terms that
+        # cancelled stay behind and are skipped when popped
+        heap = [-packed for packed in remainder]
         heapq.heapify(heap)
-        quotient: dict[Term, int | Fraction] = {}
+        heappop, heappush = heapq.heappop, heapq.heappush
+        quotient: dict[int, int | Fraction] = {}
         while heap:
-            top = tuple(-e for e in heapq.heappop(heap))
+            top = -heappop(heap)
             coeff = remainder.pop(top, None)
             if coeff is None:
                 continue
-            shift = tuple(a - b for a, b in zip(top, lead))
-            if min(shift, default=0) < 0:
+            if ((top | guards) - lead) & guards != guards:
                 raise ValueError("the divisor does not divide exactly")
+            shift = top - lead
             if type(coeff) is int and coeff % lead_coeff == 0:
                 factor = coeff // lead_coeff
             else:
                 factor = Fraction(coeff, lead_coeff)
-            quotient[tuple((v, e) for v, e in zip(names, shift) if e)] = factor
-            for exps, value in rest:
-                target = tuple(a + b for a, b in zip(shift, exps))
+            quotient[shift] = factor
+            for packed, value in rest:
+                target = shift + packed
                 if target in remainder:
                     updated = remainder[target] - factor * value
                     if updated:
                         remainder[target] = updated
                     else:
                         del remainder[target]
+                elif target & guards:
+                    raise ValueError("the divisor does not divide exactly")
                 else:
                     remainder[target] = -factor * value
-                    heapq.heappush(heap, tuple(-e for e in target))
+                    heappush(heap, -target)
         # (N / a) / (M / b) = (N / M) * b / a
         numerators, den = _over_common_denominator(quotient)
-        if divisor._den != 1:
-            numerators = {key: coeff * divisor._den for key, coeff in numerators.items()}
-        return Polynomial._canonical(numerators, den * self._den)
+        terms: dict[Term, int] = {}
+        for shift, coeff in numerators.items():
+            key = [(var, exp) for var, offset, mask in fields if (exp := shift >> offset & mask)]
+            terms[tuple(key)] = coeff * divisor._den
+        return Polynomial._canonical(terms, den * self._den)
 
     def primitive_part(self) -> "Polynomial":
         """Each coefficient divided by the positive rational content, the
@@ -570,12 +597,6 @@ class Polynomial:
                 acc[lowered] = acc_get(lowered, 0) + (coeff * exp if exp > 1 else coeff)
         return Polynomial._canonical(acc, self._den)
 
-    def gradient_at(self, point: Mapping[str, ScalarLike]) -> dict[str, Fraction]:
-        """The nonzero first partials at a point, ``{variable: value}``;
-        every occurring variable must be assigned."""
-        _, partials = self._value_and_partials(point)
-        return {var: Fraction(value) for var, value in partials.items() if value}
-
     def _value_and_partials(
         self, point: Mapping[str, ScalarLike]
     ) -> tuple[ScalarLike, dict[str, ScalarLike]]:
@@ -631,25 +652,52 @@ class Polynomial:
 
     def degree_in(self, var: str) -> int:
         """Max exponent of ``var``; the zero polynomial reports -1."""
-        return max((_exponent(key, var) for key in self._terms), default=-1)
+        if not self._terms:
+            return -1
+        degree = 0
+        for key in self._terms:
+            for v, exp in key:
+                if v == var:
+                    if exp > degree:
+                        degree = exp
+                    break
+        return degree
 
     def coefficient_in(self, var: str, power: int) -> "Polynomial":
         """The coefficient of ``var ** power``, free of ``var``."""
         acc: dict[Term, int] = {}
         for key, coeff in self._terms.items():
-            if _exponent(key, var) == power:
-                acc[tuple(pair for pair in key if pair[0] != var)] = coeff
+            index = 0
+            for v, exp in key:
+                if v == var:
+                    if exp == power:
+                        acc[key[:index] + key[index + 1:]] = coeff
+                    break
+                index += 1
+            else:
+                if not power:
+                    acc[key] = coeff
         return Polynomial._canonical(acc, self._den)
 
     def coefficients_in(self, var: str) -> list["Polynomial"]:
         """All coefficients ``[A_0, ..., A_d]`` with ``self == sum A_i * var**i``,
-        in one walk over the terms.
+        in one walk over the terms that finds the pair of ``var`` in each key
+        once and slices it out.
 
         Returns an empty list for the zero polynomial.
         """
-        parts: list[dict[Term, int]] = [{} for _ in range(self.degree_in(var) + 1)]
+        parts: list[dict[Term, int]] = []
         for key, coeff in self._terms.items():
-            parts[_exponent(key, var)][tuple(pair for pair in key if pair[0] != var)] = coeff
+            power = index = 0
+            for v, exp in key:
+                if v == var:
+                    power = exp
+                    key = key[:index] + key[index + 1:]
+                    break
+                index += 1
+            while len(parts) <= power:
+                parts.append({})
+            parts[power][key] = coeff
         return [Polynomial._canonical(part, self._den) for part in parts]
 
     @staticmethod
@@ -675,9 +723,6 @@ class Polynomial:
                 raise ValueError(f"{self} involves variables other than {var}")
             by_power[key[0][1] if key else 0] = coeff
         return [by_power.get(k, 0) for k in range(max(by_power, default=-1) + 1)]
-
-    def leading_coefficient_in(self, var: str) -> "Polynomial":
-        return self.coefficient_in(var, self.degree_in(var))
 
     def rename_variables(self, mapping: Mapping[str, str]) -> "Polynomial":
         """Rename variables; exponents merge when two names collide."""

@@ -64,9 +64,6 @@ class SideCondition:
 
     polynomial: Polynomial
 
-    def is_identically_violated(self) -> bool:
-        return self.polynomial.is_zero()
-
 
 @dataclass(frozen=True)
 class ReductionStep:

@@ -1,11 +1,15 @@
-"""Shared generators and independent root helpers for the test suite."""
+"""Shared generators, independent root helpers and test-local references
+for the test suite."""
 
+import heapq
 import random
 from fractions import Fraction
+from typing import Any, Mapping
 
 from overdet.jets import IndexCodec, ProlongedSystem
 from overdet.oracle import gcd_univariate
-from overdet.poly import Polynomial
+from overdet.poly import Polynomial, Term, _over_common_denominator, parse_polynomial
+from overdet.reduction import SideCondition
 
 
 def random_univariate(rng: random.Random, degree: int, var: str = "x") -> Polynomial:
@@ -80,3 +84,90 @@ def count_active_unknowns(prolonged: ProlongedSystem) -> int:
     for equation in prolonged.equations.values():
         occurring.update(equation.variables())
     return len(occurring & names)
+
+
+def leading_coefficient_in(poly: Polynomial, var: str) -> Polynomial:
+    """The coefficient of the highest power of ``var``; zero for the zero
+    polynomial."""
+    return poly.coefficient_in(var, poly.degree_in(var))
+
+
+def gradient_at(poly: Polynomial, point: Mapping[str, Any]) -> dict[str, Fraction]:
+    """The nonzero first partials at a point, ``{variable: Fraction}``, read
+    from the one walk that certify uses; every occurring variable must be
+    assigned."""
+    _, partials = poly._value_and_partials(point)
+    return {var: Fraction(value) for var, value in partials.items() if value}
+
+
+def is_identically_violated(condition: SideCondition) -> bool:
+    return condition.polynomial.is_zero()
+
+
+def prolonged_from_dict(data: Mapping[str, Any]) -> ProlongedSystem:
+    """The inverse of ``formats.prolonged_to_dict``."""
+    codec_data = data["codec"]
+    codec = IndexCodec(
+        p=codec_data["p"],
+        n=codec_data["n"],
+        orders=tuple(codec_data["orders"]),
+        extended=codec_data["extended"],
+    )
+    equations = {
+        entry["alpha"]: parse_polynomial(entry["polynomial"]) for entry in data["equations"]
+    }
+    return ProlongedSystem(
+        codec=codec, equations=equations, base_vars=tuple(codec_data["base_vars"])
+    )
+
+
+def _reference_exact_quotient(dividend: Polynomial, divisor: Polynomial) -> Polynomial:
+    """``Polynomial.exact_quotient`` on exponent-vector tuples: leading terms
+    in lexicographic order over the name-sorted variables, popped from a
+    heap of negated tuples, numerators divided with ``//`` where the leading
+    numerator divides.  The packed division must give the same terms in the
+    same order over the same denominator."""
+    if not divisor._terms:
+        raise ZeroDivisionError("polynomial division by zero")
+    names = sorted({v for key in (*dividend._terms, *divisor._terms) for v, _ in key})
+
+    def vector(key: Term) -> tuple[int, ...]:
+        exps = dict(key)
+        return tuple(exps.get(v, 0) for v in names)
+
+    divisor_terms = sorted(
+        ((vector(key), coeff) for key, coeff in divisor._terms.items()), reverse=True
+    )
+    (lead, lead_coeff), rest = divisor_terms[0], divisor_terms[1:]
+    remainder = {vector(key): coeff for key, coeff in dividend._terms.items()}
+    heap = [tuple(-e for e in exps) for exps in remainder]
+    heapq.heapify(heap)
+    quotient: dict[Term, int | Fraction] = {}
+    while heap:
+        top = tuple(-e for e in heapq.heappop(heap))
+        coeff = remainder.pop(top, None)
+        if coeff is None:
+            continue
+        shift = tuple(a - b for a, b in zip(top, lead))
+        if min(shift, default=0) < 0:
+            raise ValueError("the divisor does not divide exactly")
+        if type(coeff) is int and coeff % lead_coeff == 0:
+            factor = coeff // lead_coeff
+        else:
+            factor = Fraction(coeff, lead_coeff)
+        quotient[tuple((v, e) for v, e in zip(names, shift) if e)] = factor
+        for exps, value in rest:
+            target = tuple(a + b for a, b in zip(shift, exps))
+            if target in remainder:
+                updated = remainder[target] - factor * value
+                if updated:
+                    remainder[target] = updated
+                else:
+                    del remainder[target]
+            else:
+                remainder[target] = -factor * value
+                heapq.heappush(heap, tuple(-e for e in target))
+    numerators, den = _over_common_denominator(quotient)
+    if divisor._den != 1:
+        numerators = {key: coeff * divisor._den for key, coeff in numerators.items()}
+    return Polynomial._canonical(numerators, den * dividend._den)

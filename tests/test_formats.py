@@ -11,7 +11,6 @@ from overdet.formats import (
     parse_pde_file,
     parse_point_json,
     parse_poly_file,
-    prolonged_from_dict,
     prolonged_to_dict,
     rank_report_to_dict,
     scalar_from_json,
@@ -22,6 +21,8 @@ from overdet.jets import prolong
 from overdet.poly import parse_polynomial
 from overdet.rank import certify
 from overdet.reduction import solve_overdetermined
+
+from helpers import prolonged_from_dict
 
 P = parse_polynomial
 

@@ -14,6 +14,8 @@ from overdet.oracle import (
 )
 from overdet.poly import Polynomial, parse_polynomial
 
+from helpers import leading_coefficient_in
+
 P = parse_polynomial
 
 
@@ -43,8 +45,8 @@ def test_gcd_divides_both_inputs():
             rem = h
             while not rem.is_zero() and rem.degree_in("x") >= d.degree_in("x"):
                 shift = int(rem.degree_in("x")) - int(d.degree_in("x"))
-                lead = rem.leading_coefficient_in("x").constant_value()
-                dlead = d.leading_coefficient_in("x").constant_value()
+                lead = leading_coefficient_in(rem, "x").constant_value()
+                dlead = leading_coefficient_in(d, "x").constant_value()
                 rem = rem - d * Polynomial.variable("x") ** shift * (lead / dlead)
             assert rem.is_zero()
 

@@ -1,6 +1,8 @@
 """Core polynomial arithmetic: canonical form, calculus, parsing."""
 
+import heapq
 import random
+import types
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -10,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from overdet.errors import MissingAssignmentError, PolynomialParseError
 from overdet import poly
 from overdet.poly import Polynomial, parse_polynomial
+
+from helpers import _reference_exact_quotient, gradient_at, leading_coefficient_in
 
 P = parse_polynomial
 
@@ -68,7 +72,7 @@ def test_degree_in():
     zero = Polynomial.zero()
     assert zero.degree_in("x") == -1
     assert zero.coefficients_in("x") == []
-    assert zero.leading_coefficient_in("x") == Polynomial.zero()
+    assert leading_coefficient_in(zero, "x") == Polynomial.zero()
 
 
 def test_coefficients_in():
@@ -83,6 +87,37 @@ def test_coefficients_in():
     for other in ("x*y", "y + 1"):
         with pytest.raises(ValueError):
             P(other).numerators_in("x")
+
+
+def test_coefficient_splits_agree_with_the_reference():
+    """degree_in, coefficient_in and coefficients_in on keys without the
+    variable, constant terms, the zero polynomial and non-1 denominators."""
+    cases = [
+        P("x^2*y + 3*y - 5"),
+        P("y*z^2 - z"),
+        P("7"),
+        P("-2/3"),
+        Polynomial.zero(),
+        P("1/2*x^3*z - 2/3*x + 5/6*y^2*z + 1/4"),
+        P("x*y*z + x^2*z^3 - 3/7*y^4"),
+    ]
+    rng = random.Random(173)
+    cases += [_mixed_poly(rng, ["x", "y", "z"], rng.randint(0, 6)) for _ in range(60)]
+    for f in cases:
+        for var in ("x", "y", "z", "w"):
+            expected = _ref_coefficients(_ref(f), var)
+            parts = f.coefficients_in(var)
+            assert [_ref(c) for c in parts] == expected
+            assert f.degree_in(var) == len(expected) - 1
+            for power in range(len(expected) + 2):
+                single = f.coefficient_in(var, power)
+                assert _ref(single) == (expected[power] if power < len(expected) else {})
+                if power < len(parts):
+                    assert list(single._terms) == list(parts[power]._terms)
+                    assert single._den == parts[power]._den
+                _assert_canonical(single)
+            if parts:
+                assert Polynomial.from_coefficients(parts, var) == f
 
 
 def test_substitute_polynomials():
@@ -285,26 +320,26 @@ def test_gradient_at_matches_partials_on_random_polynomials():
     for _ in range(300):
         f = _random_poly(rng, names)
         point = {v: rng.choice(values) for v in names}
-        assert f.gradient_at(point) == _slow_gradient(f, point)
+        assert gradient_at(f, point) == _slow_gradient(f, point)
 
 
 def test_gradient_at_goldens():
     f = P("x^2*y + 3*x*z - y^3 + 5")
     # y = 0: only terms with at most one zero factor contribute
-    assert f.gradient_at({"x": 2, "y": 0, "z": Fraction(1, 3)}) == {
+    assert gradient_at(f, {"x": 2, "y": 0, "z": Fraction(1, 3)}) == {
         "x": Fraction(1), "y": Fraction(4), "z": Fraction(6),
     }
     # x^2 at x = 0 counts as two zero factors; z*x keeps its x partial
-    assert f.gradient_at({"x": 0, "y": 1, "z": 2}) == {"x": Fraction(6), "y": Fraction(-3)}
-    assert Polynomial.zero().gradient_at({}) == {}
-    assert P("x - x").gradient_at({"x": 1}) == {}
-    assert P("x*y - x*y^2").gradient_at({"x": 1, "y": 1}) == {"y": Fraction(-1)}
+    assert gradient_at(f, {"x": 0, "y": 1, "z": 2}) == {"x": Fraction(6), "y": Fraction(-3)}
+    assert gradient_at(Polynomial.zero(), {}) == {}
+    assert gradient_at(P("x - x"), {"x": 1}) == {}
+    assert gradient_at(P("x*y - x*y^2"), {"x": 1, "y": 1}) == {"y": Fraction(-1)}
 
 
 def test_gradient_at_missing_assignment():
     # the unassigned variable sits in a term that vanishes at the point
     with pytest.raises(MissingAssignmentError):
-        P("x^2*y + x").gradient_at({"x": 0})
+        gradient_at(P("x^2*y + x"), {"x": 0})
 
 
 def test_value_and_partials_in_one_walk_match_separate_walks():
@@ -319,7 +354,7 @@ def test_value_and_partials_in_one_walk_match_separate_walks():
         value, partials = f._value_and_partials(point)
         assert value == f.evaluate(point)
         assert set(partials) == set(f.variables())
-        assert {v: d for v, d in partials.items() if d} == f.gradient_at(point)
+        assert {v: d for v, d in partials.items() if d} == gradient_at(f, point)
         if all(Fraction(x).denominator == 1 for x in point.values()):
             for number in (value, *partials.values()):
                 assert type(number) is int or number.denominator != 1
@@ -464,6 +499,97 @@ def test_exact_quotient_zero_and_constants():
         P("x + 1").exact_quotient(Polynomial.zero())
     with pytest.raises(ZeroDivisionError):
         Polynomial.zero().exact_quotient(Polynomial.zero())
+
+
+def _quotient_or_error(dividend, divisor, divide):
+    """``divide(dividend, divisor)`` as its terms in storage order and its
+    denominator, or the type of the error it raised."""
+    try:
+        quotient = divide(dividend, divisor)
+    except (ValueError, ZeroDivisionError) as error:
+        return type(error)
+    return list(quotient._terms.items()), quotient._den
+
+
+def test_packed_division_matches_the_tuple_reference():
+    """Packed division gives the terms of the tuple-heap reference in the
+    same order over the same denominator, and raises where it raises, on
+    random exact and inexact divisions in 1-4 variables with ``Fraction``
+    coefficients."""
+    rng = random.Random(167)
+    names = ["a", "b", "c", "d"]
+    outcomes = {"quotient": 0, "inexact": 0}
+    for index in range(300):
+        used = names[:index % 4 + 1]
+        f = _mixed_poly(rng, used, rng.randint(0, 6))
+        g = _mixed_poly(rng, used, rng.randint(1, 4))
+        if g.is_zero():
+            continue
+        cases = [(f * g, g), (f * g + _mixed_poly(rng, used, 1), g), (f, g)]
+        for dividend, divisor in cases:
+            packed = _quotient_or_error(dividend, divisor, Polynomial.exact_quotient)
+            assert packed == _quotient_or_error(dividend, divisor, _reference_exact_quotient)
+            outcomes["inexact" if packed is ValueError else "quotient"] += 1
+            if packed is not ValueError:
+                _assert_canonical(dividend.exact_quotient(divisor))
+    assert min(outcomes.values()) > 250, outcomes
+
+
+@pytest.mark.parametrize("dividend, divisor", [
+    # a new remainder key overflows a field: y^10 in the y field of width 3
+    ("x^2", "x - y^5"),
+    # z^4 overflows the z field of width 2
+    ("x^3*y", "x - y^3*z^2"),
+    ("1/2*x^4 - 3*y^2", "2/3*x^2 - z^3*y"),
+    # a variable only the divisor holds
+    ("x^2 + x", "x + y"),
+    ("x*y", "z"),
+    ("x", "x^2"),
+    ("x^2 + 1", "x + 1"),
+    # exact divisions, with constants and rational coefficients
+    ("x^2 - y^2", "x - y"),
+    ("x^4 - y^4*z^8", "x - y*z^2"),
+    ("1/2*x^2*y - 1/3*y^3", "3*x^2 - 2*y^2"),
+    ("2*x + 4*y", "2"),
+    ("6", "4"),
+    ("3/5", "x + 1"),
+    ("0", "x + y"),
+    ("0", "5"),
+])
+def test_packed_division_edge_cases_match_the_reference(dividend, divisor):
+    f, g = P(dividend), P(divisor)
+    packed = _quotient_or_error(f, g, Polynomial.exact_quotient)
+    assert packed == _quotient_or_error(f, g, _reference_exact_quotient)
+    if packed is not ValueError:
+        assert f.exact_quotient(g) * g == f
+
+
+@pytest.mark.parametrize("dividend, divisor", [("x^2", "x - y^5"), ("x^3*y", "x - y^3*z^2")])
+def test_a_field_overflow_ends_the_division_at_once(monkeypatch, dividend, divisor):
+    """The second step's new remainder key overflows a field (y^10 where the
+    y field holds up to 0 + 5 in 3 bits; z^4 where z holds 0 + 2 in 2 bits),
+    which proves the division inexact before that key is popped."""
+    pops = []
+
+    def heappop(heap):
+        pops.append(heap[0])
+        return heapq.heappop(heap)
+
+    counting = types.SimpleNamespace(
+        heapify=heapq.heapify, heappush=heapq.heappush, heappop=heappop
+    )
+    monkeypatch.setattr(poly, "heapq", counting)
+    with pytest.raises(ValueError):
+        P(dividend).exact_quotient(P(divisor))
+    assert len(pops) == 2
+
+
+def test_division_by_zero_raises_in_both():
+    for dividend in (P("x + 1"), Polynomial.zero(), P("3")):
+        with pytest.raises(ZeroDivisionError):
+            dividend.exact_quotient(Polynomial.zero())
+        with pytest.raises(ZeroDivisionError):
+            _reference_exact_quotient(dividend, Polynomial.zero())
 
 
 def test_primitive_part_divides_by_positive_content():
@@ -622,7 +748,7 @@ def test_operations_agree_with_a_fraction_reference():
         assert [_ref(c) for c in f.coefficients_in(var)] == _ref_coefficients(a, var)
         assert _ref(f.substitute({var: g})) == _ref_substitute(a, {var: b})
         assert f.evaluate(point) == _ref_evaluate(a, point)
-        assert f.gradient_at(point) == _ref_gradient(a, point)
+        assert gradient_at(f, point) == _ref_gradient(a, point)
         if not g.is_zero():
             assert _ref((f * g).exact_quotient(g)) == a
         scale = rng.choice([3, Fraction(-2, 5), Fraction(7)])
@@ -696,9 +822,9 @@ def test_public_accessors_return_fractions():
     for f in (integer, rational):
         assert all(type(coeff) is Fraction for _, coeff in f.ordered_terms())
         assert type(f.evaluate({"x": 2, "y": -1})) is Fraction
-        assert all(type(value) is Fraction for value in f.gradient_at({"x": 2, "y": 3}).values())
-    assert integer.gradient_at({"x": 2, "y": 3}) == {"x": Fraction(36), "y": Fraction(10)}
-    assert rational.gradient_at({"x": 3, "y": 1}) == {"x": Fraction(3), "y": Fraction(2, 3)}
+        assert all(type(value) is Fraction for value in gradient_at(f, {"x": 2, "y": 3}).values())
+    assert gradient_at(integer, {"x": 2, "y": 3}) == {"x": Fraction(36), "y": Fraction(10)}
+    assert gradient_at(rational, {"x": 3, "y": 1}) == {"x": Fraction(3), "y": Fraction(2, 3)}
     assert type(P("7").constant_value()) is Fraction
     assert type(Polynomial.zero().constant_value()) is Fraction
     assert P("3/6").constant_value() == Fraction(1, 2)

@@ -16,7 +16,7 @@ from overdet.rank import (
     jacobian,
 )
 
-from helpers import count_active_unknowns
+from helpers import count_active_unknowns, gradient_at
 
 P = parse_polynomial
 
@@ -297,7 +297,7 @@ def _dense_jacobian(prolonged, point):
     rows = []
     for index in sorted(prolonged.equations):
         line = [Fraction(0)] * len(columns)
-        for var, value in prolonged.equations[index].gradient_at(point).items():
+        for var, value in gradient_at(prolonged.equations[index], point).items():
             if var in position:
                 line[position[var]] = value
         rows.append(line)

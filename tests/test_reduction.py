@@ -13,6 +13,7 @@ from overdet.errors import (
     SystemShapeError,
 )
 from overdet import reduction
+from overdet.formats import outcome_to_dict, to_json
 from overdet.oracle import gcd_univariate, rational_root_search
 from overdet.poly import Polynomial, parse_polynomial
 from overdet.reduction import (
@@ -23,7 +24,13 @@ from overdet.reduction import (
     reduce_pair,
     solve_overdetermined,
 )
-from helpers import common_rational_roots, random_univariate, rational_roots_of
+from helpers import (
+    _reference_exact_quotient,
+    common_rational_roots,
+    is_identically_violated,
+    random_univariate,
+    rational_roots_of,
+)
 
 P = parse_polynomial
 
@@ -44,7 +51,7 @@ def test_pair_identical_inputs_violates_condition():
     f = P("x^2 - 3*x + 2")
     c, d, conditions = reduce_pair(f, f, "x")
     assert c.is_zero() and d.is_zero()
-    assert conditions[-1].is_identically_violated()
+    assert is_identically_violated(conditions[-1])
 
 
 def test_pair_disjoint_quadratics_leave_constant():
@@ -98,7 +105,7 @@ def test_pair_equivalence_against_gcd_oracle():
         f = random_univariate(rng, n)
         g = random_univariate(rng, n)
         c, d, conditions = reduce_pair(f, g, "x")
-        if conditions[-1].is_identically_violated():
+        if is_identically_violated(conditions[-1]):
             continue
         kept += 1
         assert common_rational_roots(f, g) == common_rational_roots(c, d)
@@ -737,6 +744,38 @@ def test_solve_fuzz_trivariate_two_levels():
         if planted in outcome.solutions:
             found += 1
     assert found >= total // 3
+
+
+def test_packed_division_leaves_every_solve_unchanged(monkeypatch):
+    """Seeded planted 2- and 3-variable systems, and the runaway case, solve
+    to the same JSON, with the same term order in every residual and
+    condition, whether the reduced-PRS divisions run packed or on the
+    tuple-heap reference."""
+    rng = random.Random(1033)
+    cases = [(("x", "y"), d) for d in (2, 3, 4)] * 8 + [(("x", "y", "z"), d) for d in (2, 3)] * 5
+    systems = [(names, _planted_system(rng, names, d)) for names, d in cases]
+    systems.append((("x", "y", "z"), [P(text) for text in RUNAWAY_3VAR]))
+
+    def solve_all():
+        results = []
+        for names, system in systems:
+            outcome = solve_overdetermined(system, names)
+            stored = [(list(p._terms.items()), p._den) for p in outcome.residual_system]
+            stored += [(list(c.polynomial._terms.items()), c.polynomial._den)
+                       for c in outcome.conditions]
+            results.append((to_json(outcome_to_dict(outcome, names)), stored))
+        return results
+
+    packed = solve_all()
+    divisors = []
+
+    def reference(dividend, divisor):
+        divisors.append(divisor)
+        return _reference_exact_quotient(dividend, divisor)
+
+    monkeypatch.setattr(Polynomial, "exact_quotient", reference)
+    assert solve_all() == packed
+    assert sum(not divisor.is_constant() for divisor in divisors) >= 20
 
 
 def test_solve_accounts_for_every_small_rational_root():
